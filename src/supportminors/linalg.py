@@ -1,10 +1,14 @@
-"""Dense and sparse exact linear algebra over GF(q).
+"""Exact dense linear algebra over GF(q).
 
-Dense matrices are 2-D numpy int64 arrays with entries reduced to [0, q);
-elimination is vectorized and uses deterministic pivoting (first nonzero in
-column order), so ``rref`` output is bit-reproducible.  Large sparse inputs
-take a Markowitz-style elimination path for rank; ranks and kernel
-dimensions are strategy-independent.
+Matrices are 2-D numpy int64 arrays with entries reduced to [0, q).  One
+blocked elimination kernel serves ``rref``, ``rank`` and ``det``: it takes
+the columns in panels of NB, finds each panel's pivots with a scalar
+first-nonzero loop on the panel alone, and applies the panel to the rest of
+the matrix with a float64 matrix product reduced mod q once per product
+(16-bit limbs keep it exact up to q = 2**31 - 1).  ``mat_mul`` uses the same
+product.  Pivot columns and the RREF do not depend on which pivot rows are
+chosen, so ``rref`` output is bit-reproducible.  ``SparseMatrix`` is the
+row-compressed form the Macaulay builder emits; elimination densifies it.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import numpy as np
 from .errors import CapExceededError
 from .field import PrimeField
 
-# Above this many cells, rank(SparseMatrix) keeps the sparse representation
-# instead of densifying.  Tunable; results do not depend on the strategy.
-DENSE_CELL_LIMIT = 4_000_000
+NB = 64             # panel width of the blocked elimination
+_EXACT = 2**53      # float64 holds every integer up to here exactly
+_LIMB = 65536.0     # operands of the limb product are split at 2**16
+_LIMB_K = 2**20     # inner-dimension chunk that keeps a limb product below _EXACT
 
 
 def as_matrix(field: PrimeField, data) -> np.ndarray:
@@ -86,110 +91,154 @@ class SparseMatrix:
         return sum(len(r) for r in self.row_data)
 
 
+def _addmul_mod(C: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """C <- (C + A @ B) mod q in place, exactly, and return C.
+
+    All three are float64 arrays with entries in [0, q), q < 2**31.  Every
+    integer below 2**53 is exact in float64, and so is every partial sum of
+    a dot product that stays below it, whatever order the BLAS adds in.
+    While k * (q-1)**2 + q <= 2**53 (inner dimension k; at q = 32003 any
+    k up to 8.79 million) one product and one reduction suffice.
+    Otherwise both operands are split into 16-bit limbs and multiplied in
+    four products, reduced between the high and the low half, with k cut
+    into chunks of _LIMB_K so that each limb sum stays below 2**53.
+    """
+    k = A.shape[1]
+    if k * (q - 1) ** 2 + q <= _EXACT:
+        C += A @ B
+        return np.fmod(C, q, out=C)
+    for s in range(0, k, _LIMB_K):
+        a, b = A[:, s : s + _LIMB_K], B[s : s + _LIMB_K]
+        a1, b1 = np.floor(a / _LIMB), np.floor(b / _LIMB)
+        a0, b0 = a - a1 * _LIMB, b - b1 * _LIMB
+        T = a1 @ b1
+        np.fmod(T, q, out=T)
+        T *= _LIMB
+        T += a1 @ b0
+        T += a0 @ b1
+        np.fmod(T, q, out=T)
+        T *= _LIMB
+        T += a0 @ b0
+        T += C
+        np.fmod(T, q, out=C)
+    return C
+
+
+def _eliminate(field: PrimeField, P: np.ndarray, w: int, reduced: bool, follow=None):
+    """First-nonzero Gaussian elimination of the first w columns of the int64
+    array P, in place.
+
+    For each column in order, the first row at or below the current pivot
+    row with a nonzero entry becomes the pivot and is swapped up; every
+    swap is applied to the rows of `follow` too, if given.  Forward mode
+    clears the entries below each pivot; reduced mode also normalizes the
+    pivot row and clears above it.  Columns w + t of a wider P start as
+    the unit vector of pivot t and take every row operation, so they end
+    as E with row i = (its original row) + E[i] @ (the pivot rows'
+    original values).
+    Returns (pivot columns, d): d is the product of the pivots times the
+    sign of the row permutation, mod q.
+    """
+    q = field.q
+    h = P.shape[0]
+    tracked = P.shape[1] > w
+    pivots: list[int] = []
+    d = 1
+    for j in range(w):
+        k = len(pivots)
+        if k == h:
+            break
+        nz = P[k:, j].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = k + int(nz[0])
+        if i != k:
+            P[[k, i]] = P[[i, k]]
+            if follow is not None:
+                follow[[k, i]] = follow[[i, k]]
+            d = -d
+        piv = int(P[k, j])
+        d = d * piv % q
+        if tracked:
+            P[k, w + k] = 1
+        end = w + k + 1 if tracked else w  # columns past end are still zero
+        if reduced:
+            P[k, j:end] = P[k, j:end] * field.inv(piv) % q
+            rows = P[:, j].nonzero()[0]
+            rows = rows[rows != k]
+            factors = P[rows, j]
+        else:
+            rows = k + 1 + P[k + 1 :, j].nonzero()[0]
+            factors = P[rows, j] * field.inv(piv) % q
+        if rows.size:
+            P[rows, j:end] = (P[rows, j:end] - factors[:, None] * P[k, j:end]) % q
+        pivots.append(j)
+    return pivots, d % q
+
+
+def _echelon(field: PrimeField, M, reduced: bool):
+    """Blocked elimination over GF(q): (pivot columns, W, d).
+
+    W is a float64 working copy of M, taken panel by panel over NB columns.
+    `_eliminate` finds a panel's k pivots among the rows not yet used,
+    swaps them up to rows [pr, pr + k) and, when later columns or earlier
+    rows still need it, records its row operations as E.  One
+    `_addmul_mod` product per row range then applies the panel to them:
+    the rows below get E @ (the pivot rows); with `reduced`, the pivot rows
+    become X = A11^-1 @ (themselves), A11 being their block at the pivot
+    columns, and the rows above lose (their pivot-column entries) @ X.
+    Pivot columns are the column rank profile whatever rows were chosen,
+    so with `reduced` W ends as the unique RREF of M.  d is the
+    determinant factor of `_eliminate` over all panels.
+    """
+    q = field.q
+    W = as_matrix(field, M).astype(np.float64)
+    m, n = W.shape
+    pivots: list[int] = []
+    d = 1
+    pr = 0
+    for c0 in range(0, n, NB):
+        if pr == m:
+            break
+        c1 = min(c0 + NB, n)
+        w = c1 - c0
+        track = reduced or c1 < n
+        P = np.zeros((m - pr, w + min(w, m - pr) * track), dtype=np.int64)
+        P[:, :w] = W[pr:, c0:c1]
+        local, dp = _eliminate(field, P, w, reduced, W[pr:] if track else None)
+        d = d * dp % q
+        k = len(local)
+        pivots += [c0 + j for j in local]
+        if k and track:
+            E = P[:, w : w + k].astype(np.float64)
+            piv_rows = W[pr : pr + k]
+            below = W[pr + k :]
+            _addmul_mod(below[:, c1:], E[k:], piv_rows[:, c1:], q)
+            below[:, c0:c1] = 0
+            if reduced:
+                X = _addmul_mod(np.zeros((k, n - c0)), E[:k], piv_rows[:, c0:], q)
+                above = W[:pr]
+                _addmul_mod(above[:, c0:], above[:, pivots[-k:]], np.fmod(q - X, q), q)
+                piv_rows[:, c0:] = X
+        pr += k
+    return pivots, W, d
+
+
 def rref(field: PrimeField, M: np.ndarray) -> tuple[int, np.ndarray, list[int]]:
     """Reduced row echelon form.
 
     Returns (rank, R, pivot_columns).  R is the unique RREF of M; pivots are
-    strictly increasing.  Pivot choice is the first nonzero entry in column
-    order, so the row permutation applied is reproducible.
+    strictly increasing.
     """
-    q = field.q
-    R = as_matrix(field, M).copy()
-    m, n = R.shape
-    pivots: list[int] = []
-    pr = 0
-    for c in range(n):
-        if pr == m:
-            break
-        nz = np.flatnonzero(R[pr:, c])
-        if nz.size == 0:
-            continue
-        i = pr + int(nz[0])
-        if i != pr:
-            R[[pr, i]] = R[[i, pr]]
-        R[pr] = R[pr] * field.inv(int(R[pr, c])) % q
-        other = np.flatnonzero(R[:, c])
-        other = other[other != pr]
-        if other.size:
-            R[other] = (R[other] - np.outer(R[other, c], R[pr])) % q
-        pivots.append(c)
-        pr += 1
-    return len(pivots), R, pivots
+    pivots, W, _ = _echelon(field, M, reduced=True)
+    return len(pivots), W.astype(np.int64), pivots
 
 
-def _dense_rank(field: PrimeField, M: np.ndarray) -> int:
-    """Forward elimination only; same rank as rref at roughly half the work."""
-    q = field.q
-    R = as_matrix(field, M).copy()
-    m, n = R.shape
-    pr = 0
-    for c in range(n):
-        if pr == m:
-            break
-        nz = np.flatnonzero(R[pr:, c])
-        if nz.size == 0:
-            continue
-        i = pr + int(nz[0])
-        if i != pr:
-            R[[pr, i]] = R[[i, pr]]
-        below = pr + 1 + np.flatnonzero(R[pr + 1 :, c])
-        if below.size:
-            factors = R[below, c] * field.inv(int(R[pr, c])) % q
-            R[below] = (R[below] - np.outer(factors, R[pr])) % q
-        pr += 1
-    return pr
-
-
-def _sparse_rank(field: PrimeField, M: SparseMatrix) -> int:
-    """Markowitz-style sparse elimination; deterministic pivot tie-breaks."""
-    q = field.q
-    rows = {i: dict(entries) for i, entries in enumerate(M.row_data) if entries}
-    col_rows: dict[int, set[int]] = {}
-    for i, rd in rows.items():
-        for c in rd:
-            col_rows.setdefault(c, set()).add(i)
-    rank = 0
-    while rows:
-        # Cheapest remaining row, then its column with fewest other nonzeros.
-        pi = min(rows, key=lambda i: (len(rows[i]), i))
-        prow = rows[pi]
-        pc = min(prow, key=lambda c: (len(col_rows[c]), c))
-        pinv = field.inv(prow[pc])
-        targets = [i for i in col_rows[pc] if i != pi]
-        for i in targets:
-            rd = rows[i]
-            factor = rd[pc] * pinv % q
-            for c, v in prow.items():
-                new = (rd.get(c, 0) - factor * v) % q
-                if new:
-                    if c not in rd:
-                        col_rows.setdefault(c, set()).add(i)
-                    rd[c] = new
-                elif c in rd:
-                    del rd[c]
-                    col_rows[c].discard(i)
-            if not rd:
-                del rows[i]
-        for c in prow:
-            col_rows[c].discard(pi)
-        del rows[pi]
-        rank += 1
-    return rank
-
-
-def rank(field: PrimeField, M, strategy: str = "auto") -> int:
-    """Rank of a dense array or SparseMatrix over GF(q)."""
-    if strategy not in ("auto", "dense", "sparse"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+def rank(field: PrimeField, M) -> int:
+    """Rank of a dense array or SparseMatrix (densified) over GF(q)."""
     if isinstance(M, SparseMatrix):
-        if strategy == "sparse" or (
-            strategy == "auto" and M.rows * M.cols > DENSE_CELL_LIMIT
-        ):
-            return _sparse_rank(field, M)
-        return _dense_rank(field, M.to_dense())
-    if strategy == "sparse":
-        return _sparse_rank(field, SparseMatrix.from_dense(as_matrix(field, M)))
-    return _dense_rank(field, M)
+        M = M.to_dense()
+    return len(_echelon(field, M, reduced=False)[0])
 
 
 def right_kernel_basis(field: PrimeField, M) -> list[np.ndarray]:
@@ -216,24 +265,20 @@ def right_kernel_basis(field: PrimeField, M) -> list[np.ndarray]:
     return basis
 
 
-def left_kernel_dim(field: PrimeField, M, strategy: str = "auto") -> int:
+def left_kernel_dim(field: PrimeField, M) -> int:
     """rows - rank(M): the dimension of {w : w M = 0}."""
     nrows = M.rows if isinstance(M, SparseMatrix) else as_matrix(field, M).shape[0]
-    return nrows - rank(field, M, strategy=strategy)
+    return nrows - rank(field, M)
 
 
 def mat_mul(field: PrimeField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B mod q, accumulated in chunks that cannot overflow int64."""
-    q = field.q
+    """A @ B mod q, exact for every q < 2**31."""
     A = as_matrix(field, A)
     B = as_matrix(field, B)
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
-    step = max(1, (2**62) // max(1, (q - 1) ** 2))
-    C = zeros_matrix(A.shape[0], B.shape[1])
-    for s in range(0, A.shape[1], step):
-        C = (C + A[:, s : s + step] @ B[s : s + step, :]) % q
-    return C
+    C = np.zeros((A.shape[0], B.shape[1]))
+    return _addmul_mod(C, A.astype(np.float64), B.astype(np.float64), field.q).astype(np.int64)
 
 
 def mat_vec(field: PrimeField, M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -241,28 +286,14 @@ def mat_vec(field: PrimeField, M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def det(field: PrimeField, M: np.ndarray) -> int:
-    """Determinant of a square matrix via elimination."""
-    q = field.q
-    R = as_matrix(field, M).copy()
-    n = R.shape[0]
-    if R.shape[1] != n:
+    """Determinant of a square matrix: the product of the forward pivots
+    times the sign of the row permutation, 0 if any column lacks a pivot."""
+    M = as_matrix(field, M)
+    n = M.shape[0]
+    if M.shape[1] != n:
         raise ValueError("determinant requires a square matrix")
-    d = 1
-    for c in range(n):
-        nz = np.flatnonzero(R[c:, c])
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            R[[c, i]] = R[[i, c]]
-            d = -d % q
-        piv = int(R[c, c])
-        d = d * piv % q
-        below = c + 1 + np.flatnonzero(R[c + 1 :, c])
-        if below.size:
-            factors = R[below, c] * field.inv(piv) % q
-            R[below] = (R[below] - np.outer(factors, R[c])) % q
-    return d
+    pivots, _, d = _echelon(field, M, reduced=False)
+    return d if len(pivots) == n else 0
 
 
 def check_cell_cap(rows: int, cols: int, cap: int) -> None:

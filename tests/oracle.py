@@ -11,14 +11,15 @@ from __future__ import annotations
 import itertools
 
 
-def ref_rank(rows: list[list[int]], q: int) -> int:
-    """Gaussian elimination on lists of Python ints."""
+def ref_rref(rows: list[list[int]], q: int) -> tuple[int, list[list[int]], list[int]]:
+    """Gauss-Jordan elimination on lists of Python ints: (rank, RREF, pivots)."""
     M = [[v % q for v in row] for row in rows]
-    if not M:
-        return 0
-    ncols = len(M[0])
-    rank = 0
+    ncols = len(M[0]) if M else 0
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(M):
+            break
         piv = None
         for i in range(rank, len(M)):
             if M[i][col] % q:
@@ -33,10 +34,12 @@ def ref_rank(rows: list[list[int]], q: int) -> int:
             if i != rank and M[i][col]:
                 f = M[i][col]
                 M[i] = [(a - f * b) % q for a, b in zip(M[i], M[rank])]
-        rank += 1
-        if rank == len(M):
-            break
-    return rank
+        pivots.append(col)
+    return len(pivots), M, pivots
+
+
+def ref_rank(rows: list[list[int]], q: int) -> int:
+    return ref_rref(rows, q)[0]
 
 
 def ref_det(M: list[list[int]], q: int) -> int:
