@@ -9,6 +9,7 @@ representatives whose first nonzero coordinate is 1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,18 +109,14 @@ def verify_solution(inst: MinRankInstance, x: Sequence[int], r: int | None = Non
     return rank(inst.field, P) <= r
 
 
-def _random_matrix(stream: ChaChaStream, field: PrimeField, rows: int, cols: int) -> np.ndarray:
-    M = zeros_matrix(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            M[i, j] = stream.below(field.q)
-    return M
+def _random_array(stream: ChaChaStream, field: PrimeField, *shape: int) -> np.ndarray:
+    """Uniform entries of the given shape from one draw, in row-major order."""
+    return stream.below_array(field.q, math.prod(shape)).reshape(shape)
 
 
 def gen_random(field: PrimeField, m: int, n: int, K: int, seed: int, r: int = 1) -> MinRankInstance:
     """Uniformly random instance; matrices drawn in order, entries row-major."""
-    stream = ChaChaStream(seed)
-    mats = [_random_matrix(stream, field, m, n) for _ in range(K)]
+    mats = _random_array(ChaChaStream(seed), field, K, m, n)
     return MinRankInstance(field, m, n, K, r, tuple(mats))
 
 
@@ -135,13 +132,13 @@ def gen_planted(
     if r > min(m, n):
         raise ValueError(f"planted rank r={r} must be at most min(m, n)")
     stream = ChaChaStream(seed)
-    mats = [_random_matrix(stream, field, m, n) for _ in range(K - 1)]
-    x = [stream.below(field.q) for _ in range(K - 1)]
+    mats = list(_random_array(stream, field, K - 1, m, n))
+    x = stream.below_array(field.q, K - 1).tolist()
     x.append(stream.nonzero_below(field.q))
     q = field.q
     while True:
-        U = _random_matrix(stream, field, m, r)
-        V = _random_matrix(stream, field, r, n)
+        U = _random_array(stream, field, m, r)
+        V = _random_array(stream, field, r, n)
         target = U @ V % q
         if target.any():
             break

@@ -34,6 +34,13 @@ class FormatError(ValueError):
     """Raised when an instance or witness file violates the format."""
 
 
+def _int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"{what} {token!r} is not an integer") from None
+
+
 def write_instance(inst: MinRankInstance) -> str:
     lines = ["minrank v1", f"q {inst.field.q}", f"m {inst.m} n {inst.n} K {inst.K} r {inst.r}"]
     for idx, M in enumerate(inst.matrices, start=1):
@@ -66,12 +73,12 @@ def parse_instance(text: str) -> MinRankInstance:
     qline = take().split(" ")
     if len(qline) != 2 or qline[0] != "q":
         raise FormatError("malformed q line")
-    q = int(qline[1])
+    q = _int(qline[1], "q")
     field = PrimeField(q)
     dims = take().split(" ")
     if len(dims) != 8 or dims[0::2] != ["m", "n", "K", "r"]:
         raise FormatError("malformed dimension line")
-    m, n, K, r = (int(v) for v in dims[1::2])
+    m, n, K, r = (_int(v, "dimension") for v in dims[1::2])
     mats = []
     for idx in range(1, K + 1):
         if take() != f"matrix {idx}":
@@ -82,7 +89,10 @@ def parse_instance(text: str) -> MinRankInstance:
             if len(parts) != n:
                 raise FormatError(f"matrix {idx} row {i} has {len(parts)} entries, expected {n}")
             for j, p in enumerate(parts):
-                v = int(p)
+                try:  # inline rather than _int: this runs once per entry
+                    v = int(p)
+                except ValueError:
+                    raise FormatError(f"entry {p!r} is not an integer") from None
                 if not 0 <= v < q or str(v) != p:
                     raise FormatError(f"entry {p!r} not a canonical integer in [0, {q})")
                 M[i, j] = v
@@ -116,9 +126,9 @@ def parse_witness(text: str) -> tuple[int, tuple[int, ...]]:
         raise FormatError("witness must be exactly four LF-terminated lines")
     if lines[0] != "minrank-witness v1":
         raise FormatError("missing witness header")
-    q = int(lines[1].removeprefix("q "))
-    K = int(lines[2].removeprefix("K "))
-    xs = tuple(int(v) for v in lines[3].removeprefix("x ").split(" "))
+    q = _int(lines[1].removeprefix("q "), "q")
+    K = _int(lines[2].removeprefix("K "), "K")
+    xs = tuple(_int(v, "coordinate") for v in lines[3].removeprefix("x ").split(" "))
     if len(xs) != K:
         raise FormatError(f"witness has {len(xs)} coordinates, expected {K}")
     return q, xs

@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written without the package's linear
-algebra: pure-Python lists, permutation-expansion determinants, and a tiny
-dict-based polynomial type, so the two sides of every comparison share no
-code path.
+algebra: pure-Python lists, permutation-expansion determinants, a tiny
+dict-based polynomial type, and a ChaCha20 block function that runs one
+quarter round at a time on Python ints, so the two sides of every
+comparison share no code path.
 """
 
 from __future__ import annotations
@@ -69,6 +70,73 @@ def perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+_MASK = 0xFFFFFFFF
+_CHACHA_CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
+
+
+def _quarter_round(s: list[int], a: int, b: int, c: int, d: int) -> None:
+    s[a] = (s[a] + s[b]) & _MASK
+    s[d] ^= s[a]
+    s[d] = ((s[d] << 16) | (s[d] >> 16)) & _MASK
+    s[c] = (s[c] + s[d]) & _MASK
+    s[b] ^= s[c]
+    s[b] = ((s[b] << 12) | (s[b] >> 20)) & _MASK
+    s[a] = (s[a] + s[b]) & _MASK
+    s[d] ^= s[a]
+    s[d] = ((s[d] << 8) | (s[d] >> 24)) & _MASK
+    s[c] = (s[c] + s[d]) & _MASK
+    s[b] ^= s[c]
+    s[b] = ((s[b] << 7) | (s[b] >> 25)) & _MASK
+
+
+def ref_chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
+    """One 64-byte ChaCha20 block, one quarter round at a time on Python ints."""
+    state = list(_CHACHA_CONSTANTS)
+    state += [int.from_bytes(key[4 * i : 4 * i + 4], "little") for i in range(8)]
+    state.append(counter & _MASK)
+    state += [int.from_bytes(nonce[4 * i : 4 * i + 4], "little") for i in range(3)]
+    working = state.copy()
+    for _ in range(10):
+        _quarter_round(working, 0, 4, 8, 12)
+        _quarter_round(working, 1, 5, 9, 13)
+        _quarter_round(working, 2, 6, 10, 14)
+        _quarter_round(working, 3, 7, 11, 15)
+        _quarter_round(working, 0, 5, 10, 15)
+        _quarter_round(working, 1, 6, 11, 12)
+        _quarter_round(working, 2, 7, 8, 13)
+        _quarter_round(working, 3, 4, 9, 14)
+    out = bytearray()
+    for w, init in zip(working, state):
+        out += ((w + init) & _MASK).to_bytes(4, "little")
+    return bytes(out)
+
+
+class RefStream:
+    """The package's seeded stream drawn one word at a time from a list."""
+
+    def __init__(self, seed: int):
+        self._key = seed.to_bytes(8, "little") + bytes(24)
+        self._counter = 0
+        self._words: list[int] = []
+
+    def u32(self) -> int:
+        if not self._words:
+            block = ref_chacha20_block(self._key, self._counter, bytes(12))
+            self._counter += 1
+            self._words = [int.from_bytes(block[i : i + 4], "little") for i in range(60, -4, -4)]
+        return self._words.pop()
+
+    def below(self, bound: int) -> int:
+        limit = (2**32 // bound) * bound
+        while True:
+            w = self.u32()
+            if w < limit:
+                return w % bound
+
+    def nonzero_below(self, bound: int) -> int:
+        return 1 + self.below(bound - 1)
 
 
 def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:

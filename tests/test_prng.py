@@ -1,5 +1,6 @@
 import pytest
 
+from supportminors import prng
 from supportminors.prng import ChaChaStream, chacha20_block
 
 # RFC 8439 section 2.3.2 block-function test vector.
@@ -44,6 +45,15 @@ def test_cross_library_keystream():
         mode=None,
     ).encryptor()
     assert chacha20_block(key, 3, bytes(12)) == enc.update(bytes(64))
+
+    # A run of consecutive blocks from a nonzero counter, with a nonzero nonce.
+    nonce = bytes(range(100, 112))
+    start, count = 1000, 128
+    enc = crypto.Cipher(
+        crypto.algorithms.ChaCha20(key, start.to_bytes(4, "little") + nonce), mode=None
+    ).encryptor()
+    words = prng._keystream(prng._words(key), start, prng._words(nonce), count)
+    assert words.astype("<u4").tobytes() == enc.update(bytes(64 * count))
 
 
 def test_determinism_and_seed_separation():

@@ -33,6 +33,8 @@ TINY_TEXT = (
     "0 0 2\n"
 )
 
+ONE_BY_ONE = "minrank v1\nq 5\nm 1 n 1 K 1 r 1\nmatrix 1\n3\n"
+
 
 def test_exact_bytes():
     assert write_instance(TINY) == TINY_TEXT
@@ -41,6 +43,7 @@ def test_exact_bytes():
 def test_roundtrip_identity():
     assert parse_instance(TINY_TEXT) == TINY
     assert write_instance(parse_instance(write_instance(TINY))) == TINY_TEXT
+    assert write_instance(parse_instance(ONE_BY_ONE)) == ONE_BY_ONE
 
 
 def test_roundtrip_random_instances():
@@ -77,6 +80,36 @@ def test_file_roundtrip(tmp_path):
 def test_malformed_inputs_rejected(mutate):
     with pytest.raises(FormatError):
         parse_instance(mutate(TINY_TEXT))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        TINY_TEXT.replace("0 1 2\n", "0 abc 2\n"),
+        ONE_BY_ONE.replace("matrix 1\n3\n", "matrix 1\n\n"),  # empty row
+        TINY_TEXT.replace("q 5\n", "q x\n"),
+        TINY_TEXT.replace("m 2 n 3", "m 2 n three"),
+    ],
+    ids=["entry", "empty-row", "q", "dimension"],
+)
+def test_non_integer_instance_tokens_raise_format_error(text):
+    with pytest.raises(FormatError):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "minrank-witness v1\nq x\nK 2\nx 0 1\n",
+        "minrank-witness v1\nq 5\nK two\nx 0 1\n",
+        "minrank-witness v1\nq 5\nK 2\nx 0 abc\n",
+        "minrank-witness v1\nq 5\nK 1\nx \n",
+    ],
+    ids=["q", "K", "coordinate", "empty-x"],
+)
+def test_non_integer_witness_tokens_raise_format_error(text):
+    with pytest.raises(FormatError):
+        parse_witness(text)
 
 
 def test_witness_roundtrip():
