@@ -8,7 +8,9 @@ the matrix with a float64 matrix product reduced mod q once per product
 (16-bit limbs keep it exact up to q = 2**31 - 1).  ``mat_mul`` uses the same
 product.  Pivot columns and the RREF do not depend on which pivot rows are
 chosen, so ``rref`` output is bit-reproducible.  ``SparseMatrix`` is the
-row-compressed form the Macaulay builder emits; elimination densifies it.
+compressed sparse row (CSR) form the Macaulay builder emits: three int64
+arrays ``indptr``, ``indices``, ``values``, validated as whole arrays, which
+elimination densifies with one scatter.
 """
 
 from __future__ import annotations
@@ -38,57 +40,63 @@ def zeros_matrix(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 
 
-def identity_matrix(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Row-compressed sparse matrix: per-row sorted (column, nonzero value)."""
+    """Compressed sparse row (CSR) matrix: row i stores its nonzero values
+    values[indptr[i]:indptr[i+1]] at the strictly increasing columns
+    indices[indptr[i]:indptr[i+1]]."""
 
     rows: int
     cols: int
-    row_data: tuple[tuple[tuple[int, int], ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.row_data) != self.rows:
-            raise ValueError("row_data length must equal rows")
-        for entries in self.row_data:
-            prev = -1
-            for c, v in entries:
-                if not 0 <= c < self.cols:
-                    raise ValueError(f"column index {c} out of range")
-                if c <= prev:
-                    raise ValueError("column indices must be strictly increasing")
-                if v == 0:
-                    raise ValueError("stored zeros are not allowed")
-                prev = c
-
-    @classmethod
-    def from_rows(cls, rows: int, cols: int, entries_per_row) -> "SparseMatrix":
-        data = tuple(tuple(sorted((int(c), int(v)) for c, v in row if v != 0))
-                     for row in entries_per_row)
-        return cls(rows, cols, data)
+        for name in ("indptr", "indices", "values"):
+            a = np.array(getattr(self, name), dtype=np.int64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        indptr, indices = self.indptr, self.indices
+        if indptr.shape != (self.rows + 1,) or indptr[0] != 0 or (np.diff(indptr) < 0).any():
+            raise ValueError("indptr must have rows + 1 entries, start at 0 and never decrease")
+        if indices.shape != (indptr[-1],) or self.values.shape != indices.shape:
+            raise ValueError("indices and values must have indptr[-1] entries")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.cols):
+            raise ValueError("column index out of range")
+        # Rows never decrease and columns lie in [0, cols), so row * cols +
+        # column increases strictly exactly when each row's columns do.
+        row_of = np.repeat(np.arange(self.rows), np.diff(indptr))
+        if (np.diff(row_of * self.cols + indices) <= 0).any():
+            raise ValueError("column indices must be strictly increasing within a row")
+        if not self.values.all():
+            raise ValueError("stored zeros are not allowed")
 
     @classmethod
     def from_dense(cls, M: np.ndarray) -> "SparseMatrix":
         rows, cols = M.shape
-        data = []
-        for i in range(rows):
-            nz = np.flatnonzero(M[i])
-            data.append(tuple((int(c), int(M[i, c])) for c in nz))
-        return cls(rows, cols, tuple(data))
+        r, c = np.nonzero(M)  # row-major, so columns increase within each row
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=rows))))
+        return cls(rows, cols, indptr, c, M[r, c])
 
     def to_dense(self) -> np.ndarray:
         M = zeros_matrix(self.rows, self.cols)
-        for i, entries in enumerate(self.row_data):
-            for c, v in entries:
-                M[i, c] = v
+        M[np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices] = self.values
         return M
 
     @property
     def nnz(self) -> int:
-        return sum(len(r) for r in self.row_data)
+        return len(self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and all(
+            np.array_equal(getattr(self, a), getattr(other, a))
+            for a in ("indptr", "indices", "values")
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def _addmul_mod(C: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
@@ -247,8 +255,6 @@ def right_kernel_basis(field: PrimeField, M) -> list[np.ndarray]:
     One vector per non-pivot column f (in increasing column order): entry 1
     at f, -R[i, f] at each pivot column, 0 elsewhere.
     """
-    if isinstance(M, SparseMatrix):
-        M = M.to_dense()
     q = field.q
     _, R, pivots = rref(field, M)
     n = R.shape[1]
@@ -263,12 +269,6 @@ def right_kernel_basis(field: PrimeField, M) -> list[np.ndarray]:
             v[p] = (-int(R[i, f])) % q
         basis.append(v)
     return basis
-
-
-def left_kernel_dim(field: PrimeField, M) -> int:
-    """rows - rank(M): the dimension of {w : w M = 0}."""
-    nrows = M.rows if isinstance(M, SparseMatrix) else as_matrix(field, M).shape[0]
-    return nrows - rank(field, M)
 
 
 def mat_mul(field: PrimeField, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import estimator
-from .combinatorics import monomial_mul, monomials_colex, subsets_colex
+from .combinatorics import monomial_mul, monomial_rank, monomials_colex, subset_rank, subsets_colex
 from .instance import MinRankInstance
 from .linalg import SparseMatrix, check_cell_cap, rank as matrix_rank
 
@@ -79,10 +81,10 @@ class MacaulayMatrix:
         return self.data.cols
 
     def row_id(self, mono: tuple[int, ...], eq_index: int) -> int:
-        return self._row_mono_index[mono] * len(self.equations) + eq_index
+        return monomial_rank(mono) * len(self.equations) + eq_index
 
     def col_id(self, mono: tuple[int, ...], plucker: tuple[int, ...]) -> int:
-        return self._col_mono_index[mono] * len(self.pluckers) + self._plucker_index[plucker]
+        return monomial_rank(mono) * len(self.pluckers) + subset_rank(plucker)
 
     def row_label(self, row: int) -> tuple[tuple[int, ...], BilinearEquation]:
         mu, eq = divmod(row, len(self.equations))
@@ -93,47 +95,34 @@ class MacaulayMatrix:
         return self.col_monomials[nu], self.pluckers[t]
 
     def plucker_rank(self, T: tuple[int, ...]) -> int:
-        if T not in self._plucker_index:
+        if T not in self.pluckers:
             raise ValueError(f"{T} is not an r-subset of the column set")
-        return self._plucker_index[T]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_row_mono_index", {mu: i for i, mu in enumerate(self.row_monomials)}
-        )
-        object.__setattr__(
-            self, "_col_mono_index", {nu: i for i, nu in enumerate(self.col_monomials)}
-        )
-        object.__setattr__(
-            self, "_plucker_index", {T: i for i, T in enumerate(self.pluckers)}
-        )
+        return subset_rank(T)
 
 
 def macaulay(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> MacaulayMatrix:
-    """Assemble the degree-b Macaulay matrix of the bilinear system."""
-    if b < 1:
-        raise ValueError(f"b must be at least 1, got {b}")
-    eqs = build_equations(inst)
+    """Assemble the degree-b Macaulay matrix of the bilinear system.
+
+    Row mu * eq(i, J) is row eq(i, J) of the b = 1 matrix with the column
+    block of each x_ell moved to that of mu * x_ell.  The b = 1 rows are
+    sorted by (ell, Plucker rank), and colex(mu * x_ell) strictly increases
+    with ell, so the moved rows stay sorted.
+    """
     K, n, r = inst.K, inst.n, inst.r
+    rows, cols = estimator.macaulay_dims(estimator.ParameterSet(inst.m, n, K, r), b)
+    check_cell_cap(rows, cols, cap)
+    eqs = build_equations(inst)
     row_monos = tuple(monomials_colex(K, b - 1))
     col_monos = tuple(monomials_colex(K, b))
     pluckers = tuple(subsets_colex(n, r))
-    n_plk = len(pluckers)
-    rows = len(row_monos) * len(eqs)
-    cols = len(col_monos) * n_plk
-    check_cell_cap(rows, cols, cap)
-    col_mono_index = {nu: i for i, nu in enumerate(col_monos)}
-    plucker_index = {T: i for i, T in enumerate(pluckers)}
-    row_entries = []
-    for mu in row_monos:
-        for eq in eqs:
-            entries = [
-                (col_mono_index[monomial_mul(mu, ell)] * n_plk + plucker_index[T], c)
-                for ell, T, c in eq.terms
-            ]
-            entries.sort()
-            row_entries.append(tuple(entries))
-    data = SparseMatrix(rows, cols, tuple(row_entries))
+    terms = [(e, ell, subset_rank(T), c) for e, eq in enumerate(eqs) for ell, T, c in eq.terms]
+    eq_of, ell, plk, vals = np.array(terms, dtype=np.int64).reshape(-1, 4).T
+    order = np.lexsort((plk, ell, eq_of))
+    shift = np.array([[monomial_rank(monomial_mul(mu, v)) for v in range(K)] for mu in row_monos])
+    row_nnz = np.tile(np.bincount(eq_of, minlength=len(eqs)), len(row_monos))
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    indices = (shift[:, ell[order]] * len(pluckers) + plk[order]).ravel()
+    data = SparseMatrix(rows, cols, indptr, indices, np.tile(vals[order], len(row_monos)))
     return MacaulayMatrix(b, K, row_monos, col_monos, pluckers, eqs, data)
 
 

@@ -36,9 +36,12 @@ class FormatError(ValueError):
 
 def _int(token: str, what: str) -> int:
     try:
-        return int(token)
+        v = int(token)
     except ValueError:
         raise FormatError(f"{what} {token!r} is not an integer") from None
+    if str(v) != token:  # the written form, so parse -> write is byte-identical
+        raise FormatError(f"{what} {token!r} is not a canonical integer")
+    return v
 
 
 def write_instance(inst: MinRankInstance) -> str:
@@ -74,11 +77,16 @@ def parse_instance(text: str) -> MinRankInstance:
     if len(qline) != 2 or qline[0] != "q":
         raise FormatError("malformed q line")
     q = _int(qline[1], "q")
-    field = PrimeField(q)
+    try:
+        field = PrimeField(q)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
     dims = take().split(" ")
     if len(dims) != 8 or dims[0::2] != ["m", "n", "K", "r"]:
         raise FormatError("malformed dimension line")
     m, n, K, r = (_int(v, "dimension") for v in dims[1::2])
+    if min(m, n, K, r) < 1:
+        raise FormatError("m, n, K, r must be positive")
     mats = []
     for idx in range(1, K + 1):
         if take() != f"matrix {idx}":
@@ -99,7 +107,10 @@ def parse_instance(text: str) -> MinRankInstance:
         mats.append(M)
     if pos != len(lines):
         raise FormatError("trailing content after the last matrix")
-    return MinRankInstance(field, m, n, K, r, tuple(mats))
+    try:  # r > n
+        return MinRankInstance(field, m, n, K, r, tuple(mats))
+    except ValueError as e:
+        raise FormatError(str(e)) from None
 
 
 def save_instance(path: str | Path, inst: MinRankInstance) -> None:

@@ -39,9 +39,6 @@ class LinearForm:
     universe: str  # "y" or "x"
     coeffs: tuple[tuple[object, int], ...]  # (variable, nonzero coefficient)
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
 
 @dataclass(frozen=True)
 class Syzygy:
@@ -50,9 +47,6 @@ class Syzygy:
     universe: str
     entries: tuple[tuple[tuple[int, tuple[int, ...]], LinearForm], ...]
     origin: tuple
-
-    def entry_map(self) -> dict:
-        return dict(self.entries)
 
 
 def _sorted_entries(entries):

@@ -227,3 +227,29 @@ def poly_det(q: int, M: list[list[Poly]]) -> Poly:
             prod = prod * M[i][perm[i]]
         total = total + prod
     return total
+
+
+def ref_macaulay(inst, b: int) -> list[list[int]]:
+    """Dense degree-b Macaulay matrix, entry by entry.
+
+    Row (mu, i, J), for mu a degree-(b-1) monomial, holds
+    (-1)^t M_ell[i, j_t] at column (mu * x_ell, J minus j_t).  Rows and
+    columns are located by position in the enumerated colex lists above,
+    with no rank arithmetic.
+    """
+    q, m, n, K, r = inst.field.q, inst.m, inst.n, inst.K, inst.r
+    col_pos = {mono: c for c, mono in enumerate(colex_monomials(K, b))}
+    plk_pos = {T: c for c, T in enumerate(colex_subsets(n, r))}
+    width = len(col_pos) * len(plk_pos)
+    rows = []
+    for mu in colex_monomials(K, b - 1):
+        for i in range(m):
+            for J in colex_subsets(n, r + 1):
+                row = [0] * width
+                for t, j in enumerate(J):
+                    T = J[:t] + J[t + 1 :]
+                    for ell in range(K):
+                        c = col_pos[tuple(sorted(mu + (ell,)))] * len(plk_pos) + plk_pos[T]
+                        row[c] = (row[c] + (-1) ** t * int(inst.matrices[ell][i, j])) % q
+                rows.append(row)
+    return rows

@@ -8,7 +8,6 @@ from supportminors.linalg import (
     as_matrix,
     check_cell_cap,
     det,
-    left_kernel_dim,
     mat_mul,
     mat_vec,
     rank,
@@ -119,14 +118,6 @@ def test_kernel_vectors_annihilate():
             assert not mat_vec(F7, M, v).any()
 
 
-def test_left_kernel_dim():
-    assert left_kernel_dim(F5, np.eye(4, dtype=np.int64)) == 0
-    assert left_kernel_dim(F5, [[1, 2, 3], [1, 2, 3]]) == 1
-    for seed in range(5):
-        M = random_matrix(F7, 6, 4, seed)
-        assert left_kernel_dim(F7, M) == 6 - rank(F7, M.T.copy())
-
-
 def test_det_matches_leibniz():
     for seed in range(10):
         for n in (1, 2, 3, 4):
@@ -154,18 +145,27 @@ def test_mat_mul_no_overflow_near_word_size():
 
 
 def test_sparse_matrix_invariants():
+    def one_row(cols, vals):
+        return SparseMatrix(1, 3, [0, len(cols)], cols, vals)
+
     with pytest.raises(ValueError):
-        SparseMatrix(1, 3, (((1, 2), (1, 3)),))  # repeated column
+        one_row([1, 1], [2, 3])  # repeated column
     with pytest.raises(ValueError):
-        SparseMatrix(1, 3, (((2, 1), (1, 3)),))  # decreasing columns
+        one_row([2, 1], [1, 3])  # decreasing columns
     with pytest.raises(ValueError):
-        SparseMatrix(1, 3, (((0, 0),),))  # stored zero
+        one_row([0], [0])  # stored zero
     with pytest.raises(ValueError):
-        SparseMatrix(1, 3, (((3, 1),),))  # column out of range
-    sp = SparseMatrix.from_rows(2, 3, [[(2, 4), (0, 1)], []])
-    assert sp.row_data == (((0, 1), (2, 4)), ())
-    assert sp.nnz == 2
-    assert np.array_equal(SparseMatrix.from_dense(sp.to_dense()).to_dense(), sp.to_dense())
+        one_row([3], [1])  # column out of range
+    for indptr in ([1, 1, 1], [0, 2, 1], [0, 1], [0, 1, 1, 1], [0, 1, 2]):  # bad indptr
+        with pytest.raises(ValueError):
+            SparseMatrix(2, 3, indptr, [0], [1])
+    # A later row may restart at a lower column.
+    sp = SparseMatrix(3, 3, [0, 2, 2, 3], [0, 2, 1], [1, 4, 5])
+    assert sp.nnz == 3
+    assert sp.to_dense().tolist() == [[1, 0, 4], [0, 0, 0], [0, 5, 0]]
+    assert SparseMatrix.from_dense(sp.to_dense()) == sp
+    assert SparseMatrix.from_dense(np.zeros((2, 0), dtype=np.int64)).nnz == 0
+    assert sp != SparseMatrix(3, 3, [0, 2, 2, 3], [0, 2, 1], [1, 4, 6])
 
 
 def test_cell_cap():

@@ -100,12 +100,30 @@ def test_non_integer_instance_tokens_raise_format_error(text):
 @pytest.mark.parametrize(
     "text",
     [
+        TINY_TEXT.replace("q 5\n", "q 05\n"),
+        TINY_TEXT.replace("m 2 n 3", "m 02 n 3"),
+        TINY_TEXT.replace("q 5\n", "q 6\n"),
+        TINY_TEXT.replace("K 2 r 1", "K 2 r 4"),
+        TINY_TEXT.replace("m 2 n 3", "m -2 n 3"),
+        ONE_BY_ONE.replace("K 1", "K 0").replace("matrix 1\n3\n", ""),
+    ],
+    ids=["q-leading-zero", "m-leading-zero", "q-not-prime", "r-above-n", "m-negative", "K-zero"],
+)
+def test_header_errors_raise_format_error(text):
+    with pytest.raises(FormatError):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
         "minrank-witness v1\nq x\nK 2\nx 0 1\n",
         "minrank-witness v1\nq 5\nK two\nx 0 1\n",
         "minrank-witness v1\nq 5\nK 2\nx 0 abc\n",
         "minrank-witness v1\nq 5\nK 1\nx \n",
+        "minrank-witness v1\nq 5\nK 02\nx 0 1\n",
     ],
-    ids=["q", "K", "coordinate", "empty-x"],
+    ids=["q", "K", "coordinate", "empty-x", "K-leading-zero"],
 )
 def test_non_integer_witness_tokens_raise_format_error(text):
     with pytest.raises(FormatError):
