@@ -46,9 +46,6 @@ class PrimeField:
             raise ValueError(f"modulus {q} is not prime")
         self.q = q
 
-    def reduce(self, a: int) -> int:
-        return a % self.q
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 

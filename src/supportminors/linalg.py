@@ -1,16 +1,17 @@
 """Exact dense linear algebra over GF(q).
 
 Matrices are 2-D numpy int64 arrays with entries reduced to [0, q).  One
-blocked elimination kernel serves ``rref``, ``rank`` and ``det``: it takes
-the columns in panels of NB, finds each panel's pivots with a scalar
-first-nonzero loop on the panel alone, and applies the panel to the rest of
-the matrix with a float64 matrix product reduced mod q once per product
-(16-bit limbs keep it exact up to q = 2**31 - 1).  ``mat_mul`` uses the same
+blocked elimination kernel serves ``rref``, ``rank`` and ``det``: a scalar
+first-nonzero loop finds the pivots of IB columns at a time and records
+their row operations, float64 matrix products apply them to the rest of
+their NB-column panel and each panel to the rest of the matrix, exact
+below 2**53 (16-bit limbs up to q = 2**31 - 1), and a floor-multiply with
+two masked fix-ups reduces them mod q in place.  ``mat_mul`` uses the same
 product.  Pivot columns and the RREF do not depend on which pivot rows are
 chosen, so ``rref`` output is bit-reproducible.  ``SparseMatrix`` is the
 compressed sparse row (CSR) form the Macaulay builder emits: three int64
-arrays ``indptr``, ``indices``, ``values``, validated as whole arrays, which
-elimination densifies with one scatter.
+arrays ``indptr``, ``indices``, ``values``, validated as whole arrays,
+which elimination densifies with one scatter.
 """
 
 from __future__ import annotations
@@ -23,17 +24,20 @@ from .errors import CapExceededError
 from .field import PrimeField
 
 NB = 64             # panel width of the blocked elimination
+IB = 16             # sub-panel width of the scalar loop inside a panel
+_RED_CELLS = 2**13  # scratch cells of the mod-q reduction
 _EXACT = 2**53      # float64 holds every integer up to here exactly
 _LIMB = 65536.0     # operands of the limb product are split at 2**16
 _LIMB_K = 2**20     # inner-dimension chunk that keeps a limb product below _EXACT
 
 
-def as_matrix(field: PrimeField, data) -> np.ndarray:
-    """Coerce to a 2-D int64 array with entries reduced mod q."""
+def as_matrix(field: PrimeField, data, dtype=np.int64) -> np.ndarray:
+    """Coerce to a new 2-D array of `dtype` with entries reduced mod q."""
     M = np.asarray(data, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
-    return M % field.q
+    reduced = M.size == 0 or (M.min() >= 0 and M.max() < field.q)
+    return M.astype(dtype) if reduced else (M % field.q).astype(dtype, copy=False)
 
 
 def zeros_matrix(rows: int, cols: int) -> np.ndarray:
@@ -99,6 +103,30 @@ class SparseMatrix:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _reduce(C: np.ndarray, q: int) -> np.ndarray:
+    """C <- C mod q in place and return C, exact for float64 integers in
+    [0, 2**53] and q < 2**31; its scratch holds one block of _RED_CELLS.
+
+    t = floor(C * fl(1/q)) carries two roundings of relative error
+    u = 2**-53, so t*q <= C*(1+u)**2 <= C + 2 and t >= floor(C/q) - 1:
+    r = C - t*q lies in [-2, 2q), and one masked +q and one masked -q
+    bring it to [0, q).  The integer t*q <= 2**53 + 2 is exact unless it
+    is 2**53 + 1 = 3 * 107 * 28059810762433 (tests check q = 3, 107
+    there), and so is r, an integer below 2q in magnitude.
+    """
+    step = max(1, _RED_CELLS // max(C.shape[1], 1))
+    t = np.empty((min(step, len(C)), C.shape[1]))
+    mask = np.empty(t.shape, dtype=bool)
+    for i in range(0, len(C), step):
+        c = C[i : i + step]
+        tb, mb = t[: len(c)], mask[: len(c)]
+        np.floor(np.multiply(c, 1.0 / q, out=tb), out=tb)
+        c -= np.multiply(tb, q, out=tb)
+        np.add(c, q, out=c, where=np.less(c, 0, out=mb))
+        np.subtract(c, q, out=c, where=np.greater_equal(c, q, out=mb))
+    return C
+
+
 def _addmul_mod(C: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
     """C <- (C + A @ B) mod q in place, exactly, and return C.
 
@@ -109,126 +137,148 @@ def _addmul_mod(C: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarr
     k up to 8.79 million) one product and one reduction suffice.
     Otherwise both operands are split into 16-bit limbs and multiplied in
     four products, reduced between the high and the low half, with k cut
-    into chunks of _LIMB_K so that each limb sum stays below 2**53.
+    into chunks of _LIMB_K so that each limb sum stays below 2**53.  Sums
+    are reduced in the contiguous product, then copied into C.
     """
     k = A.shape[1]
     if k * (q - 1) ** 2 + q <= _EXACT:
-        C += A @ B
-        return np.fmod(C, q, out=C)
+        T = A @ B
+        C[...] = _reduce(np.add(T, C, out=T), q)
+        return C
     for s in range(0, k, _LIMB_K):
         a, b = A[:, s : s + _LIMB_K], B[s : s + _LIMB_K]
         a1, b1 = np.floor(a / _LIMB), np.floor(b / _LIMB)
         a0, b0 = a - a1 * _LIMB, b - b1 * _LIMB
-        T = a1 @ b1
-        np.fmod(T, q, out=T)
+        T = _reduce(a1 @ b1, q)
         T *= _LIMB
         T += a1 @ b0
         T += a0 @ b1
-        np.fmod(T, q, out=T)
+        _reduce(T, q)
         T *= _LIMB
         T += a0 @ b0
         T += C
-        np.fmod(T, q, out=C)
+        C[...] = _reduce(T, q)
     return C
 
 
-def _eliminate(field: PrimeField, P: np.ndarray, w: int, reduced: bool, follow=None):
+def _eliminate(field: PrimeField, P: np.ndarray, w: int, reduced: bool, follow=()):
     """First-nonzero Gaussian elimination of the first w columns of the int64
-    array P, in place.
+    array P, in place; returns (pivot columns, d), d being the product of
+    the pivots times the sign of the row permutation, mod q.
 
     For each column in order, the first row at or below the current pivot
-    row with a nonzero entry becomes the pivot and is swapped up; every
-    swap is applied to the rows of `follow` too, if given.  Forward mode
-    clears the entries below each pivot; reduced mode also normalizes the
-    pivot row and clears above it.  Columns w + t of a wider P start as
-    the unit vector of pivot t and take every row operation, so they end
-    as E with row i = (its original row) + E[i] @ (the pivot rows'
-    original values).
-    Returns (pivot columns, d): d is the product of the pivots times the
-    sign of the row permutation, mod q.
+    row with a nonzero entry becomes the pivot and is swapped up; the rows
+    of each array in `follow` take the same permutation at the end.
+    Forward mode clears below each pivot; reduced mode also normalizes the
+    pivot row and clears above it.  Columns w + t of a wider P start as the
+    unit vector of pivot t, so they end as E: row i = (its original row) +
+    E[i] @ (the pivot rows' original values).  A row gains less than q**2
+    per pivot, so while w * (q-1)**2 + q < 2**63 rows are reduced only when
+    read (pivot column, pivot row), and E at the end.
     """
     q = field.q
     h = P.shape[0]
     tracked = P.shape[1] > w
+    lazy = w * (q - 1) ** 2 + q < 2**63
     pivots: list[int] = []
     d = 1
+    order = list(range(h))
     for j in range(w):
         k = len(pivots)
         if k == h:
             break
-        nz = P[k:, j].nonzero()[0]
+        col = P[:, j] % q
+        nz = col[k:].nonzero()[0]
         if nz.size == 0:
             continue
         i = k + int(nz[0])
         if i != k:
-            P[[k, i]] = P[[i, k]]
-            if follow is not None:
-                follow[[k, i]] = follow[[i, k]]
+            P[k], P[i] = P[i], P[k].copy()
+            col[k], col[i] = col[i], col[k]
+            order[k], order[i] = order[i], order[k]
             d = -d
-        piv = int(P[k, j])
+        piv = int(col[k])
         d = d * piv % q
         if tracked:
             P[k, w + k] = 1
         end = w + k + 1 if tracked else w  # columns past end are still zero
+        prow = P[k, j:end] % q
         if reduced:
-            P[k, j:end] = P[k, j:end] * field.inv(piv) % q
-            rows = P[:, j].nonzero()[0]
+            prow = prow * field.inv(piv) % q
+            rows = col.nonzero()[0]
             rows = rows[rows != k]
-            factors = P[rows, j]
+            factors = col[rows]
         else:
-            rows = k + 1 + P[k + 1 :, j].nonzero()[0]
-            factors = P[rows, j] * field.inv(piv) % q
+            rows = k + 1 + col[k + 1 :].nonzero()[0]
+            factors = col[rows] * field.inv(piv) % q
+        P[k, j:end] = prow
         if rows.size:
-            P[rows, j:end] = (P[rows, j:end] - factors[:, None] * P[k, j:end]) % q
+            X = P[rows, j:end] - factors[:, None] * prow
+            P[rows, j:end] = X if lazy else X % q
         pivots.append(j)
+    P[:, w:] %= q
+    moved = [t for t in range(h) if order[t] != t]
+    for A in follow:
+        A[moved] = A[[order[t] for t in moved]]
     return pivots, d % q
 
 
-def _echelon(field: PrimeField, M, reduced: bool):
-    """Blocked elimination over GF(q): (pivot columns, W, d).
+def _blocked(field: PrimeField, W: np.ndarray, w: int, reduced: bool, follow, widths):
+    """`_eliminate` on the float64 array W, in panels of widths[0] columns.
 
-    W is a float64 working copy of M, taken panel by panel over NB columns.
-    `_eliminate` finds a panel's k pivots among the rows not yet used,
-    swaps them up to rows [pr, pr + k) and, when later columns or earlier
-    rows still need it, records its row operations as E.  One
-    `_addmul_mod` product per row range then applies the panel to them:
-    the rows below get E @ (the pivot rows); with `reduced`, the pivot rows
-    become X = A11^-1 @ (themselves), A11 being their block at the pivot
-    columns, and the rows above lose (their pivot-column entries) @ X.
-    Pivot columns are the column rank profile whatever rows were chosen,
-    so with `reduced` W ends as the unique RREF of M.  d is the
-    determinant factor of `_eliminate` over all panels.
+    Each panel is eliminated by itself (`_blocked` over widths[1:], else
+    `_eliminate`) on the rows not yet used, which swaps its k pivots up to
+    rows [pr, pr + k) and records E.  Products apply it from column c1 to
+    the last nonzero tracking column: the rows below gain E @ (pivot rows);
+    with `reduced`, the pivot rows become X = A11^-1 @ (themselves), A11
+    being their pivot-column block, and the rows above lose (their
+    pivot-column entries) @ X.
     """
     q = field.q
-    W = as_matrix(field, M).astype(np.float64)
-    m, n = W.shape
+    h, N = W.shape
+    while len(widths) > 1 and widths[0] >= w:
+        widths = widths[1:]  # a level of one panel only adds copies
+    tracked = N > w
     pivots: list[int] = []
     d = 1
     pr = 0
-    for c0 in range(0, n, NB):
-        if pr == m:
+    for c0 in range(0, w, widths[0]):
+        if pr == h:
             break
-        c1 = min(c0 + NB, n)
-        w = c1 - c0
-        track = reduced or c1 < n
-        P = np.zeros((m - pr, w + min(w, m - pr) * track), dtype=np.int64)
-        P[:, :w] = W[pr:, c0:c1]
-        local, dp = _eliminate(field, P, w, reduced, W[pr:] if track else None)
+        c1 = min(c0 + widths[0], w)
+        wp = c1 - c0
+        track = reduced or c1 < N
+        inner = widths[1:]
+        P = np.zeros((h - pr, wp + min(wp, h - pr) * track), np.float64 if inner else np.int64)
+        P[:, :wp] = W[pr:, c0:c1]
+        follow_p = (W[pr:], *(f[pr:] for f in follow)) if track else ()
+        local, dp = (_blocked(field, P, wp, reduced, follow_p, inner) if inner
+                     else _eliminate(field, P, wp, reduced, follow_p))
         d = d * dp % q
         k = len(local)
         pivots += [c0 + j for j in local]
+        if tracked:
+            W[range(pr, pr + k), range(w + pr, w + pr + k)] = 1
+        end = w + pr + k if tracked else N  # columns past end are still zero
         if k and track:
-            E = P[:, w : w + k].astype(np.float64)
+            E = P[:, wp : wp + k].astype(np.float64)
             piv_rows = W[pr : pr + k]
             below = W[pr + k :]
-            _addmul_mod(below[:, c1:], E[k:], piv_rows[:, c1:], q)
+            _addmul_mod(below[:, c1:end], E[k:], piv_rows[:, c1:end], q)
             below[:, c0:c1] = 0
             if reduced:
-                X = _addmul_mod(np.zeros((k, n - c0)), E[:k], piv_rows[:, c0:], q)
+                X = _addmul_mod(np.zeros((k, end - c0)), E[:k], piv_rows[:, c0:end], q)
                 above = W[:pr]
-                _addmul_mod(above[:, c0:], above[:, pivots[-k:]], np.fmod(q - X, q), q)
-                piv_rows[:, c0:] = X
+                _addmul_mod(above[:, c0:end], above[:, pivots[-k:]], _reduce(q - X, q), q)
+                piv_rows[:, c0:end] = X
         pr += k
+    return pivots, d
+
+
+def _echelon(field: PrimeField, M, reduced: bool):
+    """(pivot columns, W, d) of `_blocked` on a float64 copy W of M."""
+    W = as_matrix(field, M, np.float64)
+    pivots, d = _blocked(field, W, W.shape[1], reduced, (), (NB, IB))
     return pivots, W, d
 
 
@@ -255,30 +305,21 @@ def right_kernel_basis(field: PrimeField, M) -> list[np.ndarray]:
     One vector per non-pivot column f (in increasing column order): entry 1
     at f, -R[i, f] at each pivot column, 0 elsewhere.
     """
-    q = field.q
     _, R, pivots = rref(field, M)
-    n = R.shape[1]
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = (-int(R[i, f])) % q
-        basis.append(v)
-    return basis
+    free = np.delete(np.arange(R.shape[1]), pivots)
+    K = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = -R[: len(pivots), free].T % field.q
+    return list(K)
 
 
 def mat_mul(field: PrimeField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B mod q, exact for every q < 2**31."""
-    A = as_matrix(field, A)
-    B = as_matrix(field, B)
+    A = as_matrix(field, A, np.float64)
+    B = as_matrix(field, B, np.float64)
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
-    C = np.zeros((A.shape[0], B.shape[1]))
-    return _addmul_mod(C, A.astype(np.float64), B.astype(np.float64), field.q).astype(np.int64)
+    return _addmul_mod(np.zeros((len(A), B.shape[1])), A, B, field.q).astype(np.int64)
 
 
 def mat_vec(field: PrimeField, M: np.ndarray, v: np.ndarray) -> np.ndarray:
