@@ -5,9 +5,10 @@ deterministic given its flags and seed.  Machine mode (--machine) emits
 line-oriented `key=value` pairs with stable keys; booleans are true/false
 and vectors are comma-separated integers.
 
-Exit codes: 0 success; 1 usage or input error; 2 computation refused by a
-cap; 3 verification mismatch where assertion was requested (--assert, or a
-witness file that the solver failed to recover).
+Exit codes: 0 success; 1 usage or input error, such as a witness file whose
+q or K differs from the instance's; 2 computation refused by a cap; 3
+verification mismatch where assertion was requested (--assert, or a witness
+file that the solver failed to recover).
 """
 
 from __future__ import annotations
@@ -179,6 +180,14 @@ def cmd_solve(args) -> int:
     fix = None
     if args.fix_pluecker is not None:
         fix = tuple(int(v) for v in args.fix_pluecker.split(","))
+    wpath = witness_path(args.infile)
+    wx = None
+    if wpath.exists():
+        wq, wx = parse_witness(wpath.read_bytes().decode("ascii"))
+        if (wq, len(wx)) != (inst.field.q, inst.K):
+            raise FormatError(f"witness {wpath} is for q={wq} K={len(wx)}, but the "
+                              f"instance has q={inst.field.q} K={inst.K}")
+        wx = normalize_projective(inst.field, wx)  # the zero vector raises here
     sols, diag = solve_linearization(
         inst, args.b, brute_cap=args.cap_enum, matrix_cap=args.cap_matrix,
         fix_pluecker=fix,
@@ -199,10 +208,8 @@ def cmd_solve(args) -> int:
         out.kv(f"solution_{i}", sol.x, human=f"  x = {sol.x} rank = {sol.achieved_rank}")
         out.data(f"rank_{i}", sol.achieved_rank)
         out.data(f"verified_{i}", True)
-    wpath = witness_path(args.infile)
-    if wpath.exists():
-        _, wx = parse_witness(wpath.read_bytes().decode("ascii"))
-        recovered = normalize_projective(inst.field, wx) in {s.x for s in sols}
+    if wx is not None:
+        recovered = wx in {s.x for s in sols}
         out.kv("witness_recovered", recovered,
                human=f"witness: {'recovered' if recovered else 'NOT recovered'}")
         if not recovered:

@@ -9,9 +9,9 @@ implementation reproduces the same instances byte for byte.
 Blocks are computed in batches: `_keystream` runs the 20 rounds on a
 (16, N) uint32 state, one column per block, so each add / xor / rotate is
 one array operation over N blocks.  `ChaChaStream` refills a word buffer
-`_REFILL_BLOCKS` blocks at a time; `below_array` draws many bounded values
-at once by filtering that buffer, and leaves the stream exactly where the
-same number of sequential `below` calls would.
+`_REFILL_BLOCKS` blocks at a time; `below_array` draws bounded values by
+filtering that buffer, and `u32`, `below` and `nonzero_below` are single
+draws through it.
 """
 
 from __future__ import annotations
@@ -109,19 +109,11 @@ class ChaChaStream:
 
     def u32(self) -> int:
         """Next keystream word as an unsigned 32-bit little-endian integer."""
-        if self._pos >= len(self._buf):
-            self._refill()
-        w = int(self._buf[self._pos])
-        self._pos += 1
-        return w
+        return int(self.below_array(2**32, 1)[0])
 
     def below(self, bound: int) -> int:
         """Uniform draw in [0, bound) via rejection sampling on 32-bit words."""
-        limit = _limit(bound)
-        while True:
-            w = self.u32()
-            if w < limit:
-                return w % bound
+        return int(self.below_array(bound, 1)[0])
 
     def below_array(self, bound: int, count: int) -> np.ndarray:
         """The next `count` draws of `below(bound)` as an int64 array."""

@@ -17,7 +17,7 @@ Witness sidecar (written next to planted instances as <path>.witness):
     minrank-witness v1
     q <q>
     K <K>
-    x <K space-separated integers>
+    x <K space-separated integers in [0, q)>
 """
 
 from __future__ import annotations
@@ -42,6 +42,20 @@ def _int(token: str, what: str) -> int:
     if str(v) != token:  # the written form, so parse -> write is byte-identical
         raise FormatError(f"{what} {token!r} is not a canonical integer")
     return v
+
+
+def _field(q: int) -> PrimeField:
+    try:
+        return PrimeField(q)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
+
+
+def _value(line: str, key: str) -> str:
+    """The text after '<key> ' on a keyed witness line."""
+    if not line.startswith(key + " "):
+        raise FormatError(f"expected a '{key} ' line, got {line!r}")
+    return line[len(key) + 1 :]
 
 
 def write_instance(inst: MinRankInstance) -> str:
@@ -76,11 +90,8 @@ def parse_instance(text: str) -> MinRankInstance:
     qline = take().split(" ")
     if len(qline) != 2 or qline[0] != "q":
         raise FormatError("malformed q line")
-    q = _int(qline[1], "q")
-    try:
-        field = PrimeField(q)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    field = _field(_int(qline[1], "q"))
+    q = field.q
     dims = take().split(" ")
     if len(dims) != 8 or dims[0::2] != ["m", "n", "K", "r"]:
         raise FormatError("malformed dimension line")
@@ -137,11 +148,13 @@ def parse_witness(text: str) -> tuple[int, tuple[int, ...]]:
         raise FormatError("witness must be exactly four LF-terminated lines")
     if lines[0] != "minrank-witness v1":
         raise FormatError("missing witness header")
-    q = _int(lines[1].removeprefix("q "), "q")
-    K = _int(lines[2].removeprefix("K "), "K")
-    xs = tuple(_int(v, "coordinate") for v in lines[3].removeprefix("x ").split(" "))
+    q = _field(_int(_value(lines[1], "q"), "q")).q
+    K = _int(_value(lines[2], "K"), "K")
+    xs = tuple(_int(v, "coordinate") for v in _value(lines[3], "x").split(" "))
     if len(xs) != K:
         raise FormatError(f"witness has {len(xs)} coordinates, expected {K}")
+    if not all(0 <= v < q for v in xs):
+        raise FormatError(f"witness coordinates must lie in [0, {q})")
     return q, xs
 
 

@@ -8,7 +8,10 @@ inverts that structure:
 
 * b = 1: the monomial factor is x itself;
 * b = 2: the monomial factor fills a symmetric K x K matrix proportional
-  to x x^T, and any nonzero row of it is proportional to x.
+  to x x^T, and any nonzero column of it is proportional to x.
+
+Rank one is tested without elimination: every 2x2 minor through the first
+nonzero entry must vanish mod q, which is exact in int64.
 
 Kernels of dimension d > 1 are swept exactly: d = 2 via the roots of a
 2x2-minor quadratic (all rank-one points of a pencil), small q^d by
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .combinatorics import monomial_rank, subsets_colex
+from .combinatorics import subsets_colex
 from .field import PrimeField
 from .instance import (
     BRUTE_FORCE_CAP,
@@ -112,8 +115,6 @@ def _sqrt_mod(a: int, q: int) -> int | None:
     a %= q
     if a == 0:
         return 0
-    if q == 2:
-        return a
     if pow(a, (q - 1) // 2, q) != 1:
         return None
     if q % 4 == 3:
@@ -143,15 +144,15 @@ def _sqrt_mod(a: int, q: int) -> int | None:
 
 
 def _quadratic_roots(field: PrimeField, c2: int, c1: int, c0: int) -> list[int]:
-    """Roots of c2 t^2 + c1 t + c0 over GF(q); the zero polynomial returns []."""
+    """Roots of c2 t^2 + c1 t + c0 over GF(q), sorted; the zero polynomial returns []."""
     q = field.q
     c2, c1, c0 = c2 % q, c1 % q, c0 % q
     if c2 == 0:
         if c1 == 0:
             return []
         return [(-c0) * field.inv(c1) % q]
-    if q <= 4096:
-        return [t for t in range(q) if (c2 * t * t + c1 * t + c0) % q == 0]
+    if q == 2:  # 2 * c2 has no inverse
+        return [t for t in (0, 1) if (c2 * t * t + c1 * t + c0) % 2 == 0]
     disc = (c1 * c1 - 4 * c2 * c0) % q
     s = _sqrt_mod(disc, q)
     if s is None:
@@ -182,6 +183,24 @@ def _first_minor_quadratic(field: PrimeField, A: np.ndarray, B: np.ndarray):
     return None
 
 
+def _rank_one_column(W: np.ndarray, q: int) -> np.ndarray | None:
+    """The first nonzero column of W when W has rank one mod q, else None.
+
+    With pivot p = W[i, j] at the first nonzero entry, entry (k, l) of
+    p W - W[:, j] W[i] is the 2x2 minor on rows {i, k} and columns {j, l},
+    and W has rank one iff all of them vanish.  Entries in [0, q) with
+    q < 2^31 keep the products exact in int64.
+    """
+    nz = np.flatnonzero(W)
+    if not len(nz):
+        return None
+    i, j = divmod(int(nz[0]), W.shape[1])
+    col = W[:, j]
+    if ((W * W[i, j] - np.outer(col, W[i])) % q).any():
+        return None
+    return col
+
+
 def _rank_one_pencil_points(
     field: PrimeField, A: np.ndarray, B: np.ndarray
 ) -> list[np.ndarray] | None:
@@ -190,54 +209,14 @@ def _rank_one_pencil_points(
     quad = _first_minor_quadratic(field, A, B)
     if quad is None:
         return None
-    out = []
-    if matrix_rank(field, A) == 1:
-        out.append(A)
-    for t in _quadratic_roots(field, *quad):
-        M = (t * A + B) % field.q
-        if M.any() and matrix_rank(field, M) == 1:
-            out.append(M)
-    return out
-
-
-def _mono_factor(field: PrimeField, W: np.ndarray, fixed_col: int | None):
-    """The monomial-side factor of a rank-one reshaped kernel vector.
-
-    With a fixed Plucker column the factor is read straight off that column
-    (normalization c_T = 1); otherwise the matrix must have rank one and the
-    first nonzero column is taken.
-    """
-    if fixed_col is not None:
-        col = W[:, fixed_col]
-        return col if col.any() else None
-    if matrix_rank(field, W) != 1:
-        return None
-    nz_cols = np.flatnonzero(W.any(axis=0))
-    return W[:, int(nz_cols[0])]
-
-
-def _x_from_mono_factor(
-    field: PrimeField, mono_vec: np.ndarray, b: int, K: int
-) -> tuple[int, ...] | None:
-    if b == 1:
-        return normalize_projective(field, mono_vec.tolist())
-    S = np.zeros((K, K), dtype=np.int64)
-    for a in range(K):
-        for c in range(a, K):
-            v = int(mono_vec[monomial_rank((a, c))])
-            S[a, c] = S[c, a] = v
-    if not S.any() or matrix_rank(field, S) != 1:
-        return None
-    row = S[int(np.flatnonzero(S.any(axis=1))[0])]
-    return normalize_projective(field, row.tolist())
+    members = [A] + [(t * A + B) % field.q for t in _quadratic_roots(field, *quad)]
+    return [M for M in members if _rank_one_column(M, field.q) is not None]
 
 
 def solve_linearization(
     inst: MinRankInstance,
     b: int,
     *,
-    extraction_cap: int = EXTRACTION_CAP,
-    combo_cap: int = COMBO_CAP,
     brute_cap: int = BRUTE_FORCE_CAP,
     matrix_cap: int = MATRIX_CELL_CAP,
     fix_pluecker: tuple[int, ...] | None = None,
@@ -256,7 +235,6 @@ def solve_linearization(
     kernel = right_kernel_basis(f, mac.data.to_dense())
     d = len(kernel)
     rk = mac.n_cols - d
-    n_plk = len(mac.pluckers)
     fixed_col = None
     if fix_pluecker is not None:
         fixed_col = mac.plucker_rank(tuple(fix_pluecker))
@@ -270,20 +248,23 @@ def solve_linearization(
 
     if d == 0:
         return [], diag("none", True)
-    if d > extraction_cap:
-        return [], diag("none", False, [f"kernel dimension {d} exceeds cap {extraction_cap}"])
+    if d > EXTRACTION_CAP:
+        return [], diag("none", False, [f"kernel dimension {d} exceeds cap {EXTRACTION_CAP}"])
 
-    reshaped = [v.reshape(len(mac.col_monomials), n_plk) for v in kernel]
+    reshaped = np.array(kernel).reshape(d, len(mac.col_monomials), len(mac.pluckers))
+    if b == 2:  # sym[a, c] = the row of x_a x_c, so col[sym] is symmetric and ~ x x^T
+        mono = np.array(mac.col_monomials)
+        sym = np.empty((inst.K, inst.K), dtype=np.int64)
+        sym[mono[:, 0], mono[:, 1]] = sym[mono[:, 1], mono[:, 0]] = np.arange(len(mono))
     candidates: set[tuple[int, ...]] = set()
     notes: list[str] = []
 
     def try_vector(W) -> None:
-        mono_vec = _mono_factor(f, W, fixed_col)
-        if mono_vec is None or not mono_vec.any():
-            return
-        x = _x_from_mono_factor(f, mono_vec, b, inst.K)
-        if x is not None:
-            candidates.add(x)
+        col = W[:, fixed_col] if fixed_col is not None else _rank_one_column(W, f.q)
+        if col is not None and b == 2:
+            col = _rank_one_column(col[sym], f.q)
+        if col is not None and col.any():
+            candidates.add(normalize_projective(f, col.tolist()))
 
     method = "direct"
     complete = d == 1
@@ -297,20 +278,18 @@ def solve_linearization(
             method, complete = "pencil", True
     if not complete:
         n_combos = projective_point_count(f.q, d)
-        if n_combos <= combo_cap:
+        if n_combos <= COMBO_CAP:
+            # Exact in int64: combos run only while q^(d-1) < COMBO_CAP, so
+            # each entry, a sum of d products below q^2, stays far below 2^63.
             for coeffs in iter_projective(f, d):
-                W = np.zeros_like(reshaped[0])
-                for c, Wi in zip(coeffs, reshaped):
-                    if c:
-                        W = (W + c * Wi) % f.q
-                try_vector(W)
+                try_vector(np.tensordot(coeffs, reshaped, axes=1) % f.q)
             method, complete = "combo-enumeration", True
         elif projective_point_count(f.q, inst.K) <= brute_cap:
             sols = brute_force_solve(inst, cap=brute_cap)
             notes.append("kernel sweep infeasible; solutions from exhaustive scan")
             return sols, diag("brute-fallback", True, notes)
         else:
-            notes.append(f"{n_combos} kernel combinations exceed cap {combo_cap}")
+            notes.append(f"{n_combos} kernel combinations exceed cap {COMBO_CAP}")
 
     solutions = []
     for x in sorted(candidates):

@@ -69,6 +69,21 @@ def test_solve_witness_miss_exits_3(tmp_path, capsys):
     assert pairs["complete"] == "false"
 
 
+def test_solve_unusable_witness_exits_1(tmp_path, capsys):
+    # A witness for another q or K, or the zero vector, is an input error
+    # reported before the solve, not a witness the solver failed to recover.
+    path = tmp_path / "planted.mr"
+    assert run(capsys, "gen", "--q", "31", "--m", "4", "--n", "4", "--K", "3",
+               "--r", "2", "--seed", "3", "--planted", "--out", str(path))[0] == 0
+    witness = path.with_name("planted.mr.witness")
+    for text in ["minrank-witness v1\nq 7\nK 3\nx 0 1 2\n",
+                 "minrank-witness v1\nq 31\nK 2\nx 0 1\n",
+                 "minrank-witness v1\nq 31\nK 3\nx 0 0 0\n"]:
+        witness.write_text(text)
+        code, out, _ = run(capsys, "solve", "--in", str(path), "--b", "1", "--machine")
+        assert code == 1 and out == ""
+
+
 def test_solve_no_witness_no_solutions_exit_0(tmp_path, capsys):
     path = tmp_path / "rand.mr"
     assert run(capsys, "gen", "--q", "32003", "--m", "3", "--n", "5", "--K", "4",

@@ -122,8 +122,18 @@ def test_header_errors_raise_format_error(text):
         "minrank-witness v1\nq 5\nK 2\nx 0 abc\n",
         "minrank-witness v1\nq 5\nK 1\nx \n",
         "minrank-witness v1\nq 5\nK 02\nx 0 1\n",
+        "minrank-witness v1\n7\nK 2\nx 0 1\n",
+        "minrank-witness v1\nq 7\n2\nx 0 1\n",
+        "minrank-witness v1\nq 7\nK 2\n0 1\n",
+        "minrank-witness v1\nq  7\nK 2\nx 0 1\n",
+        "minrank-witness v1\nq 6\nK 2\nx 0 1\n",
+        "minrank-witness v1\nq 7\nK 2\nx -2 1\n",
+        "minrank-witness v1\nq 7\nK 2\nx 0 9\n",
+        "minrank-witness v1\nq 7\nK 2\nx 0 7\n",
     ],
-    ids=["q", "K", "coordinate", "empty-x", "K-leading-zero"],
+    ids=["q", "K", "coordinate", "empty-x", "K-leading-zero", "q-key-missing",
+         "K-key-missing", "x-key-missing", "q-two-spaces", "q-not-prime",
+         "coordinate-negative", "coordinate-above-q", "coordinate-equals-q"],
 )
 def test_non_integer_witness_tokens_raise_format_error(text):
     with pytest.raises(FormatError):

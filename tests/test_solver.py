@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from supportminors import solver
 from supportminors.field import PrimeField
 from supportminors.instance import (
     MinRankInstance,
@@ -14,6 +17,7 @@ from supportminors.linalg import rank
 from supportminors.prng import ChaChaStream
 from supportminors.solver import (
     _quadratic_roots,
+    _rank_one_column,
     _sqrt_mod,
     evaluation_vector,
     extend_to_rank,
@@ -22,7 +26,7 @@ from supportminors.solver import (
 )
 from supportminors.combinatorics import subsets_colex
 
-from oracle import ref_det
+from oracle import ref_det, ref_rank
 
 F7 = PrimeField(7)
 F31 = PrimeField(31)
@@ -91,6 +95,65 @@ def test_quadratic_roots_irreducible():
     assert _quadratic_roots(F31, 1, 0, 1) == []
 
 
+def _roots_by_evaluation(q, c2, c1, c0):
+    if c2 % q == c1 % q == c0 % q == 0:
+        return []  # the zero polynomial is documented to return []
+    t = np.arange(q, dtype=np.int64)
+    return np.flatnonzero((c2 * t * t + c1 * t + c0) % q == 0).tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_quadratic_roots_exhaustive_small_fields(q):
+    f = PrimeField(q)
+    for c2, c1, c0 in itertools.product(range(q), repeat=3):
+        assert _quadratic_roots(f, c2, c1, c0) == _roots_by_evaluation(q, c2, c1, c0)
+
+
+@pytest.mark.parametrize("q", [4093, 4099])
+def test_quadratic_roots_random_triples(q):
+    # The primes either side of 4096, a natural cut-over to exhaustive evaluation.
+    f = PrimeField(q)
+    triples = ChaChaStream(q).below_array(q, 3 * 60).reshape(60, 3).tolist()
+    triples += [[1, -2 * a % q, a * a % q] for a in (0, 1, q - 1)]  # double roots
+    for c2, c1, c0 in triples:
+        assert _quadratic_roots(f, c2, c1, c0) == _roots_by_evaluation(q, c2, c1, c0)
+
+
+def _rank_one_inputs(q):
+    top = q - 1
+    s = ChaChaStream(q)
+    u = np.array([top, 0, 1, top], dtype=np.int64)
+    v = np.array([0, top, top, 1, 2 % q], dtype=np.int64)
+    single = np.zeros((4, 5), dtype=np.int64)
+    single[2, 3] = top
+    outer = np.outer(u, v) % q
+    bumped = outer.copy()
+    bumped[3, 4] = (bumped[3, 4] + 1) % q
+    yield np.zeros((4, 5), dtype=np.int64)
+    yield single
+    yield outer
+    yield np.full((3, 3), top, dtype=np.int64)
+    yield bumped
+    yield (outer + np.outer(v[:4], u[::-1].tolist() + [1])) % q  # rank 2 for most q
+    for shape in [(1, 6), (6, 1), (1, 1), (3, 4), (2, 2)]:
+        for _ in range(4):
+            yield s.below_array(q, shape[0] * shape[1]).reshape(shape)
+    for _ in range(4):
+        col, row = s.below_array(q, 5), s.below_array(q, 3)
+        yield np.outer(col, row) % q
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 32003, 2**31 - 1])
+def test_rank_one_column_matches_reference_rank(q):
+    for W in _rank_one_inputs(q):
+        got = _rank_one_column(W, q)
+        if ref_rank(W.tolist(), q) == 1:
+            first_col = int(np.flatnonzero(W.any(axis=0))[0])
+            assert got is not None and np.array_equal(got, W[:, first_col])
+        else:
+            assert got is None
+
+
 def test_solve_b1_recovers_planted_witness():
     for seed in range(5):
         inst, x = gen_planted(FBIG, 4, 4, 2, 2, seed=seed)
@@ -125,7 +188,7 @@ def test_unsolvable_full_column_rank():
 
 def test_solve_matches_brute_small_fields():
     params = [(4, 4, 2, 2, 1), (2, 3, 1, 2, 1), (4, 4, 2, 3, 2)]
-    for q in (7, 31):
+    for q in (2, 3, 7, 31):
         f = PrimeField(q)
         for m, n, r, K, b in params:
             for seed in range(3):
@@ -134,6 +197,35 @@ def test_solve_matches_brute_small_fields():
                 assert diag.complete
                 expected = brute_force_solve(inst)
                 assert [s.x for s in sols] == [s.x for s in expected]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_low_rank_pencils_match_brute(q, monkeypatch):
+    """Small random pencils at r = 1 and triples of rank-one matrices send
+    extraction through the quadratic's roots (with a t^2 term) and through
+    the combination sweep."""
+    f = PrimeField(q)
+    quadratic_terms = []
+
+    def roots(field, c2, c1, c0):
+        quadratic_terms.append(c2 % field.q)
+        return _quadratic_roots(field, c2, c1, c0)
+
+    monkeypatch.setattr(solver, "_quadratic_roots", roots)
+    instances = []
+    for seed in range(6):
+        instances.append((gen_random(f, 2, 3, 2, seed=seed, r=1), 1))
+        instances.append((gen_random(f, 2, 3, 2, seed=seed, r=1), 2))
+        mats = tuple(rank_r_matrix(f, 4, 4, 1, seed=10 * seed + i) for i in range(3))
+        instances.append((MinRankInstance(f, 4, 4, 3, 1, mats), 1))
+    methods = set()
+    for inst, b in instances:
+        sols, diag = solve_linearization(inst, b)
+        assert diag.complete
+        assert [s.x for s in sols] == [s.x for s in brute_force_solve(inst)]
+        methods.add(diag.method)
+    assert {"pencil", "combo-enumeration"} <= methods
+    assert any(quadratic_terms)
 
 
 def test_two_solution_pencil_path():
@@ -158,15 +250,18 @@ def test_three_solution_combo_enumeration():
     assert {(1, 0, 0), (0, 1, 0), (0, 0, 1)} <= {s.x for s in sols}
 
 
-def test_extraction_cap_partial_result():
+def test_extraction_cap_partial_result(monkeypatch):
     inst, _ = gen_planted(F7, 4, 4, 3, 2, seed=0)
-    sols, diag = solve_linearization(inst, 2, extraction_cap=0)
+    monkeypatch.setattr(solver, "EXTRACTION_CAP", 0)
+    sols, diag = solve_linearization(inst, 2)
     assert sols == [] and not diag.complete
 
 
-def test_brute_fallback_on_degenerate_instance():
+def test_brute_fallback_on_degenerate_instance(monkeypatch):
     zero = MinRankInstance(F7, 3, 3, 2, 1, (np.zeros((3, 3), dtype=np.int64),) * 2)
-    sols, diag = solve_linearization(zero, 1, extraction_cap=10, combo_cap=100)
+    monkeypatch.setattr(solver, "EXTRACTION_CAP", 10)
+    monkeypatch.setattr(solver, "COMBO_CAP", 100)
+    sols, diag = solve_linearization(zero, 1)
     assert diag.kernel_dim == 6  # everything is in the kernel
     assert diag.method == "brute-fallback" and diag.complete
     assert sols == []
