@@ -322,10 +322,6 @@ def mat_mul(field: PrimeField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _addmul_mod(np.zeros((len(A), B.shape[1])), A, B, field.q).astype(np.int64)
 
 
-def mat_vec(field: PrimeField, M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return mat_mul(field, M, np.asarray(v, dtype=np.int64).reshape(-1, 1)).reshape(-1)
-
-
 def det(field: PrimeField, M: np.ndarray) -> int:
     """Determinant of a square matrix: the product of the forward pivots
     times the sign of the row permutation, 0 if any column lacks a pivot."""

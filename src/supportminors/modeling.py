@@ -7,15 +7,18 @@ minor on J gives one bilinear equation: expanding along the stacked row,
     eq(i, J) = sum_t (-1)^t m_{i, j_t}(x) * c_{J \\ {j_t}}   (t 0-based),
 
 where c_T is the maximal minor of C on columns T, treated as an independent
-linearized unknown.  The degree-b Macaulay matrix collects mu * eq(i, J)
-for all x-monomials mu of degree b-1; rows are ordered monomial-major, then
-by (i, colex(J)); columns monomial-major by colex, then by colex Plucker
-rank.
+linearized unknown.  The whole system is one coefficient tensor
+coef[i, J, t, ell] = (-1)^t M_ell[i, j_t] mod q, gathered from the stacked
+matrices, plus the colex Plucker rank of each J \\ {j_t}; every equation
+keeps views of its (r+1) x K block and rank row next to its labels.  The
+degree-b Macaulay matrix collects mu * eq(i, J) for all x-monomials mu of
+degree b-1; rows are ordered monomial-major, then by (i, colex(J)); columns
+monomial-major by colex, then by colex Plucker rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -29,34 +32,45 @@ MATRIX_CELL_CAP = 50_000_000
 
 @dataclass(frozen=True)
 class BilinearEquation:
-    """One (r+1)-minor: terms are (x-variable, Plucker subset, coefficient)."""
+    """One (r+1)-minor: terms are (x-variable, Plucker subset, coefficient).
+
+    `coef[t, ell]` is the coefficient of x_ell * c_{J \\ {j_t}} and `plk[t]`
+    the colex rank of J \\ {j_t}; both are read-only views into the arrays
+    of the whole system and take no part in equality.
+    """
 
     row: int
     cols: tuple[int, ...]
     terms: tuple[tuple[int, tuple[int, ...], int], ...]
+    coef: np.ndarray = dc_field(compare=False, repr=False)
+    plk: np.ndarray = dc_field(compare=False, repr=False)
 
 
 def build_equations(inst: MinRankInstance) -> list[BilinearEquation]:
     """All m * C(n, r+1) bilinear equations, ordered by (row, colex(J)).
 
-    Zero coefficients are dropped.  Rejects r = n (no (r+1)-column subsets).
+    Zero coefficients are dropped from `terms`.  Rejects r = n (no
+    (r+1)-column subsets).
     """
-    m, n, K, r = inst.m, inst.n, inst.K, inst.r
+    m, n, r = inst.m, inst.n, inst.r
     if r >= n:
         raise ValueError(f"r={r} must be below n={n}: no (r+1)-column subsets exist")
     q = inst.field.q
+    Js = list(subsets_colex(n, r + 1))
+    drops = [[J[:t] + J[t + 1 :] for t in range(r + 1)] for J in Js]
+    rank_of = {T: k for k, T in enumerate(subsets_colex(n, r))}
+    plk = np.array([[rank_of[T] for T in Ts] for Ts in drops], dtype=np.int64)
+    sign = np.where(np.arange(r + 1) % 2, q - 1, 1)
+    # (K, m, |Js|, r+1) gather, moved to (m, |Js|, r+1, K); products < 2^62.
+    coef = np.moveaxis(np.array(inst.matrices)[:, :, np.array(Js)], 0, -1) * sign[:, None] % q
+    coef.setflags(write=False)
+    plk.setflags(write=False)
     eqs = []
     for i in range(m):
-        for J in subsets_colex(n, r + 1):
-            terms = []
-            for t, j in enumerate(J):
-                sign = 1 if t % 2 == 0 else q - 1
-                T = J[:t] + J[t + 1 :]
-                for ell in range(K):
-                    c = int(inst.matrices[ell][i, j]) * sign % q
-                    if c:
-                        terms.append((ell, T, c))
-            eqs.append(BilinearEquation(i, J, tuple(terms)))
+        for s, (J, Ts, values) in enumerate(zip(Js, drops, coef[i].tolist())):
+            # From a list, as in `syzygies`: a generator would resize each tuple.
+            terms = tuple([(ell, T, c) for T, row in zip(Ts, values) for ell, c in enumerate(row) if c])
+            eqs.append(BilinearEquation(i, J, terms, coef[i, s], plk[s]))
     return eqs
 
 
@@ -115,8 +129,9 @@ def macaulay(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> Macau
     row_monos = tuple(monomials_colex(K, b - 1))
     col_monos = tuple(monomials_colex(K, b))
     pluckers = tuple(subsets_colex(n, r))
-    terms = [(e, ell, subset_rank(T), c) for e, eq in enumerate(eqs) for ell, T, c in eq.terms]
-    eq_of, ell, plk, vals = np.array(terms, dtype=np.int64).reshape(-1, 4).T
+    coef = np.array([e.coef for e in eqs])
+    eq_of, t, ell = np.nonzero(coef)
+    vals, plk = coef[eq_of, t, ell], np.array([e.plk for e in eqs])[eq_of, t]
     order = np.lexsort((plk, ell, eq_of))
     shift = np.array([[monomial_rank(monomial_mul(mu, v)) for v in range(K)] for mu in row_monos])
     row_nnz = np.tile(np.bincount(eq_of, minlength=len(eqs)), len(row_monos))

@@ -13,9 +13,10 @@ inverts that structure:
 Rank one is tested without elimination: every 2x2 minor through the first
 nonzero entry must vanish mod q, which is exact in int64.
 
-Kernels of dimension d > 1 are swept exactly: d = 2 via the roots of a
-2x2-minor quadratic (all rank-one points of a pencil), small q^d by
-enumeration of projective combinations, with a documented fall back to the
+Kernels of dimension 1 < d <= EXTRACTION_CAP are swept exactly: d = 2 via
+the roots of a 2x2-minor quadratic (all rank-one points of a pencil), small
+q^d by enumeration of projective combinations.  A kernel that cannot be
+swept, too large either in d or in combinations, falls back to the
 brute-force oracle when the solution space itself is small enough to scan.
 """
 
@@ -38,8 +39,9 @@ from .instance import (
     projective_point_count,
     verify_solution,
 )
-from .linalg import det, rank as matrix_rank, right_kernel_basis, rref
-from .modeling import MATRIX_CELL_CAP, MacaulayMatrix, macaulay
+# `rref` has no caller here; perfbench/layers.py EXPECTED requires the binding.
+from .linalg import det, rank as matrix_rank, right_kernel_basis, rref  # noqa: F401
+from .modeling import MATRIX_CELL_CAP, macaulay
 
 EXTRACTION_CAP = 8       # max kernel dimension the solver will sweep
 COMBO_CAP = 20_000       # max projective kernel combinations to enumerate
@@ -51,51 +53,6 @@ def plucker_vector(field: PrimeField, C: np.ndarray) -> np.ndarray:
     return np.array(
         [det(field, C[:, T]) for T in subsets_colex(n, r)], dtype=np.int64
     )
-
-
-def extend_to_rank(field: PrimeField, M: np.ndarray, r: int) -> np.ndarray:
-    """An r x n full-rank matrix whose row space contains that of M.
-
-    Rows are the nonzero rref rows of M, padded with standard basis vectors
-    in column order; deterministic.
-    """
-    rk, R, pivots = rref(field, M)
-    if rk > r:
-        raise ValueError(f"row space has dimension {rk} > {r}")
-    n = M.shape[1]
-    rows = [R[i] for i in range(rk)]
-    pivot_set = set(pivots)
-    for j in range(n):
-        if len(rows) == r:
-            break
-        if j not in pivot_set:
-            e = np.zeros(n, dtype=np.int64)
-            e[j] = 1
-            rows.append(e)
-    if len(rows) < r:
-        raise ValueError("cannot extend: r exceeds n")
-    return np.stack(rows)
-
-
-def eval_monomial(field: PrimeField, mono: tuple[int, ...], x) -> int:
-    v = 1
-    for var in mono:
-        v = v * (x[var] % field.q) % field.q
-    return v
-
-
-def evaluation_vector(
-    field: PrimeField, mac: MacaulayMatrix, x, C: np.ndarray
-) -> np.ndarray:
-    """Kernel-member candidate: entry at (nu, T) is nu(x) * minor_T(C)."""
-    plk = plucker_vector(field, C)
-    out = np.zeros(mac.n_cols, dtype=np.int64)
-    n_plk = len(mac.pluckers)
-    for i, nu in enumerate(mac.col_monomials):
-        ev = eval_monomial(field, nu, x)
-        if ev:
-            out[i * n_plk : (i + 1) * n_plk] = ev * plk % field.q
-    return out
 
 
 @dataclass(frozen=True)
@@ -248,48 +205,49 @@ def solve_linearization(
 
     if d == 0:
         return [], diag("none", True)
-    if d > EXTRACTION_CAP:
-        return [], diag("none", False, [f"kernel dimension {d} exceeds cap {EXTRACTION_CAP}"])
-
-    reshaped = np.array(kernel).reshape(d, len(mac.col_monomials), len(mac.pluckers))
-    if b == 2:  # sym[a, c] = the row of x_a x_c, so col[sym] is symmetric and ~ x x^T
-        mono = np.array(mac.col_monomials)
-        sym = np.empty((inst.K, inst.K), dtype=np.int64)
-        sym[mono[:, 0], mono[:, 1]] = sym[mono[:, 1], mono[:, 0]] = np.arange(len(mono))
     candidates: set[tuple[int, ...]] = set()
     notes: list[str] = []
+    method, complete = "none", False
+    if d > EXTRACTION_CAP:
+        limit = f"kernel dimension {d} exceeds cap {EXTRACTION_CAP}"
+    else:
+        reshaped = np.array(kernel).reshape(d, len(mac.col_monomials), len(mac.pluckers))
+        if b == 2:  # sym[a, c] = the row of x_a x_c, so col[sym] is symmetric and ~ x x^T
+            mono = np.array(mac.col_monomials)
+            sym = np.empty((inst.K, inst.K), dtype=np.int64)
+            sym[mono[:, 0], mono[:, 1]] = sym[mono[:, 1], mono[:, 0]] = np.arange(len(mono))
 
-    def try_vector(W) -> None:
-        col = W[:, fixed_col] if fixed_col is not None else _rank_one_column(W, f.q)
-        if col is not None and b == 2:
-            col = _rank_one_column(col[sym], f.q)
-        if col is not None and col.any():
-            candidates.add(normalize_projective(f, col.tolist()))
+        def try_vector(W) -> None:
+            col = W[:, fixed_col] if fixed_col is not None else _rank_one_column(W, f.q)
+            if col is not None and b == 2:
+                col = _rank_one_column(col[sym], f.q)
+            if col is not None and col.any():
+                candidates.add(normalize_projective(f, col.tolist()))
 
-    method = "direct"
-    complete = d == 1
-    for W in reshaped:
-        try_vector(W)
-    if d == 2:
-        points = _rank_one_pencil_points(f, reshaped[0], reshaped[1])
-        if points is not None:
-            for W in points:
-                try_vector(W)
-            method, complete = "pencil", True
-    if not complete:
+        method = "direct"
+        complete = d == 1
+        for W in reshaped:
+            try_vector(W)
+        if d == 2:
+            points = _rank_one_pencil_points(f, reshaped[0], reshaped[1])
+            if points is not None:
+                for W in points:
+                    try_vector(W)
+                method, complete = "pencil", True
         n_combos = projective_point_count(f.q, d)
-        if n_combos <= COMBO_CAP:
+        limit = f"{n_combos} kernel combinations exceed cap {COMBO_CAP}"
+        if not complete and n_combos <= COMBO_CAP:
             # Exact in int64: combos run only while q^(d-1) < COMBO_CAP, so
             # each entry, a sum of d products below q^2, stays far below 2^63.
             for coeffs in iter_projective(f, d):
                 try_vector(np.tensordot(coeffs, reshaped, axes=1) % f.q)
             method, complete = "combo-enumeration", True
-        elif projective_point_count(f.q, inst.K) <= brute_cap:
+    if not complete:
+        if projective_point_count(f.q, inst.K) <= brute_cap:
             sols = brute_force_solve(inst, cap=brute_cap)
             notes.append("kernel sweep infeasible; solutions from exhaustive scan")
             return sols, diag("brute-fallback", True, notes)
-        else:
-            notes.append(f"{n_combos} kernel combinations exceed cap {COMBO_CAP}")
+        notes.append(limit)
 
     solutions = []
     for x in sorted(candidates):

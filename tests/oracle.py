@@ -4,12 +4,17 @@ Everything here is deliberately written without the package's linear
 algebra: pure-Python lists, permutation-expansion determinants, a tiny
 dict-based polynomial type, and a ChaCha20 block function that runs one
 quarter round at a time on Python ints, so the two sides of every
-comparison share no code path.
+comparison share no code path.  The syzygy references expand every
+entry x term product into a dict keyed by (monomial, Plucker subset).
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
+
+from supportminors.syzygies import LinearForm, Syzygy
 
 
 def ref_rref(rows: list[list[int]], q: int) -> tuple[int, list[list[int]], list[int]]:
@@ -229,6 +234,43 @@ def poly_det(q: int, M: list[list[Poly]]) -> Poly:
     return total
 
 
+def mat_vec(field, M, v) -> np.ndarray:
+    """M v over GF(q), one Python-int dot product per row."""
+    vec = [int(c) for c in np.asarray(v).ravel()]
+    return np.array([sum(a * b for a, b in zip(row, vec)) % field.q
+                     for row in np.asarray(M).tolist()], dtype=np.int64)
+
+
+def extend_to_rank(field, M, r: int) -> np.ndarray:
+    """An r x n full-rank matrix whose row space contains that of M: the
+    nonzero RREF rows of M, padded with standard basis vectors of the
+    non-pivot columns in column order."""
+    M = np.asarray(M)
+    rk, R, pivots = ref_rref(M.tolist(), field.q)
+    if rk > r:
+        raise ValueError(f"row space has dimension {rk} > {r}")
+    n = M.shape[1]
+    rows = R[:rk] + [[int(i == j) for i in range(n)] for j in range(n) if j not in pivots]
+    if len(rows) < r:
+        raise ValueError("cannot extend: r exceeds n")
+    return np.array(rows[:r], dtype=np.int64)
+
+
+def evaluation_vector(field, mac, x, C) -> np.ndarray:
+    """Kernel-member candidate over the columns of `mac`: entry (nu, T) is
+    nu(x) * minor_T(C), minors by permutation expansion."""
+    q = field.q
+    rows = np.asarray(C).tolist()
+    minors = [ref_det([[row[j] for j in T] for row in rows], q) for T in mac.pluckers]
+    out = []
+    for nu in mac.col_monomials:
+        ev = 1
+        for var in nu:
+            ev = ev * x[var] % q
+        out += [ev * p % q for p in minors]
+    return np.array(out, dtype=np.int64)
+
+
 def ref_macaulay(inst, b: int) -> list[list[int]]:
     """Dense degree-b Macaulay matrix, entry by entry.
 
@@ -253,3 +295,46 @@ def ref_macaulay(inst, b: int) -> list[list[int]]:
                         row[c] = (row[c] + (-1) ** t * int(inst.matrices[ell][i, j])) % q
                 rows.append(row)
     return rows
+
+
+def ref_specialize(s, inst):
+    """y_{k,j} -> sum_l M_l[k,j] x_l, one dict entry per surviving x-variable."""
+    if s.universe != "y":
+        raise ValueError("only y-universe syzygies can be specialized")
+    q = inst.field.q
+    new_entries = []
+    for (h, J), form in s.entries:
+        if h >= inst.m or (J and J[-1] >= inst.n) or len(J) != inst.r + 1:
+            raise ValueError(f"entry ({h}, {J}) does not fit the instance")
+        acc: dict[int, int] = {}
+        for (k, j), c in form.coeffs:
+            if k >= inst.m or j >= inst.n:
+                raise ValueError(f"variable ({k}, {j}) out of range")
+            for ell in range(inst.K):
+                v = (acc.get(ell, 0) + c * int(inst.matrices[ell][k, j])) % q
+                if v:
+                    acc[ell] = v
+                elif ell in acc:
+                    del acc[ell]
+        if acc:
+            new_entries.append(((h, J), LinearForm("x", tuple(sorted(acc.items())))))
+    return Syzygy("x", tuple(new_entries), s.origin)
+
+
+def ref_annihilates(q: int, s, equations) -> bool:
+    """Expand sum of entry * equation over (degree-2 monomial, Plucker subset)
+    keys, term by term; True iff nothing survives mod q."""
+    eq_map = {(e.row, e.cols): e for e in equations}
+    acc: dict = {}
+    for key, form in s.entries:
+        if key not in eq_map:
+            raise ValueError(f"syzygy entry {key} has no matching equation")
+        for a, ca in form.coeffs:
+            for ell, T, ce in eq_map[key].terms:
+                k = ((min(a, ell), max(a, ell)), T)
+                v = (acc.get(k, 0) + ca * ce) % q
+                if v:
+                    acc[k] = v
+                elif k in acc:
+                    del acc[k]
+    return not acc

@@ -9,14 +9,13 @@ from supportminors.linalg import (
     check_cell_cap,
     det,
     mat_mul,
-    mat_vec,
     rank,
     right_kernel_basis,
     rref,
 )
 from supportminors.prng import ChaChaStream
 
-from oracle import ref_det, ref_rank
+from oracle import mat_vec, ref_det, ref_rank
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)

@@ -7,11 +7,11 @@ from supportminors.combinatorics import monomial_mul, subsets_colex
 from supportminors.errors import CapExceededError
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance, gen_planted, gen_random
-from supportminors.linalg import mat_vec, rank
+from supportminors.linalg import rank
 from supportminors.modeling import build_equations, macaulay, rank_check
-from supportminors.solver import evaluation_vector, extend_to_rank, evaluate_pencil
+from supportminors.solver import evaluate_pencil
 
-from oracle import Poly, poly_det
+from oracle import Poly, evaluation_vector, extend_to_rank, mat_vec, poly_det
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)

@@ -19,14 +19,12 @@ from supportminors.solver import (
     _quadratic_roots,
     _rank_one_column,
     _sqrt_mod,
-    evaluation_vector,
-    extend_to_rank,
     plucker_vector,
     solve_linearization,
 )
 from supportminors.combinatorics import subsets_colex
 
-from oracle import ref_det, ref_rank
+from oracle import evaluation_vector, extend_to_rank, ref_det, ref_rank
 
 F7 = PrimeField(7)
 F31 = PrimeField(31)
@@ -253,8 +251,19 @@ def test_three_solution_combo_enumeration():
 def test_extraction_cap_partial_result(monkeypatch):
     inst, _ = gen_planted(F7, 4, 4, 3, 2, seed=0)
     monkeypatch.setattr(solver, "EXTRACTION_CAP", 0)
-    sols, diag = solve_linearization(inst, 2)
+    sols, diag = solve_linearization(inst, 2, brute_cap=0)
     assert sols == [] and not diag.complete
+
+
+def test_brute_fallback_above_extraction_cap():
+    # Three rank-one 3x4 matrices over GF(2): the b = 1 kernel has dimension
+    # 9 > EXTRACTION_CAP, while P^2(GF(2)) has only 7 points to scan.
+    f = PrimeField(2)
+    inst = MinRankInstance(f, 3, 4, 3, 1, tuple(rank_r_matrix(f, 3, 4, 1, seed=i) for i in range(3)))
+    sols, diag = solve_linearization(inst, 1)
+    assert diag.kernel_dim == 9 > solver.EXTRACTION_CAP
+    assert diag.method == "brute-fallback" and diag.complete
+    assert [s.x for s in sols] == [s.x for s in brute_force_solve(inst)]
 
 
 def test_brute_fallback_on_degenerate_instance(monkeypatch):

@@ -125,6 +125,15 @@ def test_check_annihilation_requires_matching_equations():
         check_annihilation(F7, s, build_equations(gen_random(F7, 3, 4, 2, seed=2, r=2)))
 
 
+def test_check_annihilation_rejects_x_variable_out_of_range():
+    inst = gen_random(F7, 3, 4, 2, seed=2, r=1)
+    (key, _), *rest = specialize(enumerate_sprime1(3, 4, 1)[0], inst).entries
+    for a in (2, -1):  # K = 2
+        bad = Syzygy("x", ((key, LinearForm("x", ((a, 1),))), *rest), ("S1", 0, ()))
+        with pytest.raises(ValueError):
+            check_annihilation(F7, bad, build_equations(inst))
+
+
 def test_xonly_dim_at_main_theorem_parameters():
     for seed in range(3):
         inst = gen_random(FBIG, 4, 4, 8, seed=seed, r=2)
