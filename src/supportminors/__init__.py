@@ -29,7 +29,7 @@ from .instance import (
     verify_solution,
 )
 from .modeling import (
-    BilinearEquation,
+    BilinearSystem,
     MacaulayMatrix,
     RankCheckReport,
     build_equations,

@@ -245,7 +245,9 @@ def cmd_check(args) -> int:
             mismatch = True
 
     if inst.r + 2 <= inst.n:
-        dim = xonly_syzygy_dim(inst, 1, cap=args.cap_matrix)
+        # At b = 2, rank_check has already ranked the matrix whose left kernel this is.
+        dim = (rep.rows - rep.observed_rank if args.b == 2
+               else xonly_syzygy_dim(inst, 1, cap=args.cap_matrix))
         out.data("syzdim_d1_observed", dim)
         if inst.K >= inst.m * (inst.n - inst.r):
             pred = linear_syzygy_dim_prediction(inst.m, inst.n, inst.r)

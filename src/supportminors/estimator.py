@@ -35,12 +35,13 @@ def eqs_b1(p: ParameterSet) -> int:
 def eqs_b2(p: ParameterSet) -> tuple[int, bool]:
     """Independent-equation count at x-degree 2 and its precondition flag.
 
-    The count is min(K m C(n,r+1) - C(m+1,2) C(n,r+2), C(K+1,2) C(n,r));
-    the flag records whether m C(n,r+1) <= K C(n,r) held (the regime in
-    which the count is proven).  The value is reported either way.
+    The count is min(K m C(n,r+1) - C(m+1,2) C(n,r+2), C(K+1,2) C(n,r)),
+    clamped at 0 (a rank is never negative); the flag records whether
+    m C(n,r+1) <= K C(n,r) held (the regime in which the count is proven).
+    The value is reported either way.
     """
     rows_minus_syz = p.K * p.m * comb(p.n, p.r + 1) - comb(p.m + 1, 2) * comb(p.n, p.r + 2)
-    value = min(rows_minus_syz, comb(p.K + 1, 2) * comb(p.n, p.r))
+    value = max(0, min(rows_minus_syz, comb(p.K + 1, 2) * comb(p.n, p.r)))
     precondition = p.m * comb(p.n, p.r + 1) <= p.K * comb(p.n, p.r)
     return value, precondition
 

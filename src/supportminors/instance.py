@@ -1,23 +1,24 @@
 """MinRank instances: representation, generators, and the brute-force oracle.
 
-An instance is K matrices M_0..M_{K-1} of shape m x n over GF(q) together
-with a target rank r; the pencil at x is sum_l x_l M_l.  Solutions are
-nonzero x with 0 < rank(pencil(x)) <= r, reported as projective
-representatives whose first nonzero coordinate is 1.
+An instance is K matrices M_0..M_{K-1} of shape m x n over GF(q), kept as
+one (K, m, n) array, together with a target rank r; the pencil at x is
+sum_l x_l M_l.  Solutions are nonzero x with 0 < rank(pencil(x)) <= r,
+reported as projective representatives whose first nonzero coordinate
+is 1.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceededError
 from .field import PrimeField
-from .linalg import as_matrix, rank, zeros_matrix
+from .linalg import rank
 from .prng import ChaChaStream
 
 BRUTE_FORCE_CAP = 2_000_000  # projective points; keeps the oracle desk-scale
@@ -25,40 +26,33 @@ BRUTE_FORCE_CAP = 2_000_000  # projective points; keeps the oracle desk-scale
 
 @dataclass(frozen=True, eq=False)
 class MinRankInstance:
+    """`stack` is the read-only (K, m, n) array of the matrices reduced mod q;
+    `matrices` holds its K views."""
+
     field: PrimeField
     m: int
     n: int
     K: int
     r: int
     matrices: tuple[np.ndarray, ...]
+    stack: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if min(self.m, self.n, self.K, self.r) < 1:
             raise ValueError("m, n, K, r must be positive")
         if self.r > self.n:
             raise ValueError(f"target rank r={self.r} exceeds n={self.n}")
-        if len(self.matrices) != self.K:
-            raise ValueError(f"expected {self.K} matrices, got {len(self.matrices)}")
-        q = self.field.q
-        frozen = []
-        for M in self.matrices:
-            M = as_matrix(self.field, M)
-            if M.shape != (self.m, self.n):
-                raise ValueError(f"matrix shape {M.shape} != ({self.m}, {self.n})")
-            if M.min(initial=0) < 0 or M.max(initial=0) >= q:
-                raise ValueError("entries must lie in [0, q)")
-            M.setflags(write=False)
-            frozen.append(M)
-        object.__setattr__(self, "matrices", tuple(frozen))
+        stack = np.asarray(self.matrices, dtype=np.int64) % self.field.q
+        if stack.shape != (self.K, self.m, self.n):
+            raise ValueError(f"matrices of shape {stack.shape} != ({self.K}, {self.m}, {self.n})")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "matrices", tuple(stack))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MinRankInstance):
             return NotImplemented
-        return (
-            self.field == other.field
-            and (self.m, self.n, self.K, self.r) == (other.m, other.n, other.K, other.r)
-            and all(np.array_equal(a, b) for a, b in zip(self.matrices, other.matrices))
-        )
+        return (self.field, self.r) == (other.field, other.r) and np.array_equal(self.stack, other.stack)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -76,17 +70,18 @@ class SolutionCandidate:
             raise ValueError("x must be nonzero with first nonzero coordinate 1")
 
 
+def _combine(stack: np.ndarray, x: Sequence[int], q: int) -> np.ndarray:
+    """sum_l x_l stack[l] mod q.  Each product is below q^2 < 2^62 and is
+    reduced before the sum, which is therefore exact while K q < 2^63."""
+    x = np.array([v % q for v in x], dtype=np.int64)
+    return (x[:, None, None] * stack % q).sum(axis=0) % q
+
+
 def evaluate_pencil(inst: MinRankInstance, x: Sequence[int]) -> np.ndarray:
     """sum_l x_l M_l over GF(q)."""
     if len(x) != inst.K:
         raise ValueError(f"x has length {len(x)}, expected K={inst.K}")
-    q = inst.field.q
-    acc = zeros_matrix(inst.m, inst.n)
-    for coeff, M in zip(x, inst.matrices):
-        c = coeff % q
-        if c:
-            acc = (acc + c * M) % q
-    return acc
+    return _combine(inst.stack, x, inst.field.q)
 
 
 def normalize_projective(field: PrimeField, x: Sequence[int]) -> tuple[int, ...]:
@@ -103,10 +98,7 @@ def verify_solution(inst: MinRankInstance, x: Sequence[int], r: int | None = Non
     """True iff the pencil at x is nonzero with rank at most r."""
     if r is None:
         r = inst.r
-    P = evaluate_pencil(inst, x)
-    if not P.any():
-        return False
-    return rank(inst.field, P) <= r
+    return 0 < rank(inst.field, evaluate_pencil(inst, x)) <= r
 
 
 def _random_array(stream: ChaChaStream, field: PrimeField, *shape: int) -> np.ndarray:
@@ -116,8 +108,7 @@ def _random_array(stream: ChaChaStream, field: PrimeField, *shape: int) -> np.nd
 
 def gen_random(field: PrimeField, m: int, n: int, K: int, seed: int, r: int = 1) -> MinRankInstance:
     """Uniformly random instance; matrices drawn in order, entries row-major."""
-    mats = _random_array(ChaChaStream(seed), field, K, m, n)
-    return MinRankInstance(field, m, n, K, r, tuple(mats))
+    return MinRankInstance(field, m, n, K, r, _random_array(ChaChaStream(seed), field, K, m, n))
 
 
 def gen_planted(
@@ -132,7 +123,7 @@ def gen_planted(
     if r > min(m, n):
         raise ValueError(f"planted rank r={r} must be at most min(m, n)")
     stream = ChaChaStream(seed)
-    mats = list(_random_array(stream, field, K - 1, m, n))
+    mats = _random_array(stream, field, K - 1, m, n)
     x = stream.below_array(field.q, K - 1).tolist()
     x.append(stream.nonzero_below(field.q))
     q = field.q
@@ -142,12 +133,8 @@ def gen_planted(
         target = U @ V % q
         if target.any():
             break
-    partial = zeros_matrix(m, n)
-    for coeff, M in zip(x[:-1], mats):
-        partial = (partial + coeff * M) % q
-    last = (target - partial) * field.inv(x[-1]) % q
-    mats.append(last)
-    inst = MinRankInstance(field, m, n, K, r, tuple(mats))
+    last = (target - _combine(mats, x[:-1], q)) * field.inv(x[-1]) % q
+    inst = MinRankInstance(field, m, n, K, r, np.concatenate((mats, last[None])))
     return inst, tuple(x)
 
 
@@ -181,11 +168,8 @@ def brute_force_solve(
         )
     out = []
     for x in iter_projective(inst.field, inst.K):
-        P = evaluate_pencil(inst, x)
-        if not P.any():
-            continue
-        rk = rank(inst.field, P)
-        if rk <= r:
+        rk = rank(inst.field, evaluate_pencil(inst, x))
+        if 0 < rk <= r:
             out.append(SolutionCandidate(x, rk))
     return out
 
@@ -207,13 +191,8 @@ def decoding_to_minrank(
     coordinate lam != 0 decodes to coefficients -lam^{-1} (x_0..x_{K-1}),
     i.e. M0 minus the decoded codeword has rank at most the radius.
     """
-    M0 = as_matrix(field, M0)
-    mats = [as_matrix(field, B) for B in basis]
-    m, n = M0.shape
-    for B in mats:
-        if B.shape != (m, n):
-            raise ValueError(f"basis matrix shape {B.shape} != ({m}, {n})")
-    inst = MinRankInstance(field, m, n, len(mats) + 1, radius, tuple(mats) + (M0,))
+    m, n = np.shape(M0)
+    inst = MinRankInstance(field, m, n, len(basis) + 1, radius, (*basis, M0))
     note = (
         "solution (x_0..x_{K-1}, lam) with lam != 0 decodes to "
         "c = -lam^{-1} (x_0..x_{K-1}); rank(M0 - sum c_l B_l) <= radius"
@@ -236,10 +215,4 @@ def elementary_instance(field: PrimeField, m: int, n: int, r: int) -> MinRankIns
     The pencil entry (k, j) is then the single variable x_{k*n+j}, which
     makes substitution into generic-variable identities a pure renaming.
     """
-    mats = []
-    for k in range(m):
-        for j in range(n):
-            E = zeros_matrix(m, n)
-            E[k, j] = 1
-            mats.append(E)
-    return MinRankInstance(field, m, n, m * n, r, tuple(mats))
+    return MinRankInstance(field, m, n, m * n, r, np.eye(m * n, dtype=np.int64).reshape(-1, m, n))

@@ -7,71 +7,77 @@ minor on J gives one bilinear equation: expanding along the stacked row,
     eq(i, J) = sum_t (-1)^t m_{i, j_t}(x) * c_{J \\ {j_t}}   (t 0-based),
 
 where c_T is the maximal minor of C on columns T, treated as an independent
-linearized unknown.  The whole system is one coefficient tensor
-coef[i, J, t, ell] = (-1)^t M_ell[i, j_t] mod q, gathered from the stacked
-matrices, plus the colex Plucker rank of each J \\ {j_t}; every equation
-keeps views of its (r+1) x K block and rank row next to its labels.  The
-degree-b Macaulay matrix collects mu * eq(i, J) for all x-monomials mu of
-degree b-1; rows are ordered monomial-major, then by (i, colex(J)); columns
-monomial-major by colex, then by colex Plucker rank.
+linearized unknown.  The whole system is two arrays: the coefficient tensor
+coef[e, t, ell] = (-1)^t M_ell[i, j_t] mod q of equation e = (i, colex(J)),
+gathered from the instance's stack, and the colex Plucker rank of each
+J \\ {j_t}.  The degree-b Macaulay matrix collects mu * eq(i, J) for all
+x-monomials mu of degree b-1; rows are ordered monomial-major, then by
+(i, colex(J)); columns monomial-major by colex, then by colex Plucker rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimator
-from .combinatorics import monomial_mul, monomial_rank, monomials_colex, subset_rank, subsets_colex
+from .combinatorics import (
+    monomial_mul, monomial_rank, monomials_colex, subset_rank, subset_unrank, subsets_colex,
+)
 from .instance import MinRankInstance
 from .linalg import SparseMatrix, check_cell_cap, rank as matrix_rank
 
 MATRIX_CELL_CAP = 50_000_000
 
 
-@dataclass(frozen=True)
-class BilinearEquation:
-    """One (r+1)-minor: terms are (x-variable, Plucker subset, coefficient).
+@dataclass(frozen=True, eq=False)
+class BilinearSystem:
+    """All m * C(n, r+1) equations, ordered by (row, colex(J)).
 
-    `coef[t, ell]` is the coefficient of x_ell * c_{J \\ {j_t}} and `plk[t]`
-    the colex rank of J \\ {j_t}; both are read-only views into the arrays
-    of the whole system and take no part in equality.
+    `coef[e, t, ell]` is the coefficient of x_ell * c_{J \\ {j_t}} in
+    equation e, and `plk[colex(J), t]` the colex rank of J \\ {j_t}; both
+    arrays are read-only.  Equation e has the label (row, J) with
+    e = row * C(n, r+1) + colex(J).
     """
 
-    row: int
-    cols: tuple[int, ...]
-    terms: tuple[tuple[int, tuple[int, ...], int], ...]
-    coef: np.ndarray = dc_field(compare=False, repr=False)
-    plk: np.ndarray = dc_field(compare=False, repr=False)
+    coef: np.ndarray
+    plk: np.ndarray
+    m: int
+    n: int
+    r: int
+
+    def __len__(self) -> int:
+        return len(self.coef)
+
+    def index(self, row: int, cols: tuple[int, ...]) -> int:
+        """Position of equation (row, cols); ValueError if it is not in the system."""
+        if not 0 <= row < self.m or len(cols) != self.r + 1 or not 0 <= cols[0] <= cols[-1] < self.n:
+            raise ValueError(f"equation ({row}, {cols}) is not in the system")
+        return row * len(self.plk) + subset_rank(cols)
+
+    def label(self, e: int) -> tuple[int, tuple[int, ...]]:
+        row, s = divmod(e, len(self.plk))
+        return row, subset_unrank(s, self.n, self.r + 1)
 
 
-def build_equations(inst: MinRankInstance) -> list[BilinearEquation]:
-    """All m * C(n, r+1) bilinear equations, ordered by (row, colex(J)).
-
-    Zero coefficients are dropped from `terms`.  Rejects r = n (no
-    (r+1)-column subsets).
-    """
+def build_equations(inst: MinRankInstance) -> BilinearSystem:
+    """The bilinear system of the instance.  Rejects r = n (no (r+1)-column
+    subsets)."""
     m, n, r = inst.m, inst.n, inst.r
     if r >= n:
         raise ValueError(f"r={r} must be below n={n}: no (r+1)-column subsets exist")
     q = inst.field.q
     Js = list(subsets_colex(n, r + 1))
-    drops = [[J[:t] + J[t + 1 :] for t in range(r + 1)] for J in Js]
     rank_of = {T: k for k, T in enumerate(subsets_colex(n, r))}
-    plk = np.array([[rank_of[T] for T in Ts] for Ts in drops], dtype=np.int64)
+    plk = np.array([[rank_of[J[:t] + J[t + 1 :]] for t in range(r + 1)] for J in Js], dtype=np.int64)
     sign = np.where(np.arange(r + 1) % 2, q - 1, 1)
     # (K, m, |Js|, r+1) gather, moved to (m, |Js|, r+1, K); products < 2^62.
-    coef = np.moveaxis(np.array(inst.matrices)[:, :, np.array(Js)], 0, -1) * sign[:, None] % q
+    coef = np.moveaxis(inst.stack[:, :, np.array(Js)], 0, -1) * sign[:, None] % q
+    coef = coef.reshape(m * len(Js), r + 1, inst.K)
     coef.setflags(write=False)
     plk.setflags(write=False)
-    eqs = []
-    for i in range(m):
-        for s, (J, Ts, values) in enumerate(zip(Js, drops, coef[i].tolist())):
-            # From a list, as in `syzygies`: a generator would resize each tuple.
-            terms = tuple([(ell, T, c) for T, row in zip(Ts, values) for ell, c in enumerate(row) if c])
-            eqs.append(BilinearEquation(i, J, terms, coef[i, s], plk[s]))
-    return eqs
+    return BilinearSystem(coef, plk, m, n, r)
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class MacaulayMatrix:
     row_monomials: tuple[tuple[int, ...], ...]  # degree b-1, colex order
     col_monomials: tuple[tuple[int, ...], ...]  # degree b, colex order
     pluckers: tuple[tuple[int, ...], ...]       # r-subsets, colex order
-    equations: tuple[BilinearEquation, ...]      # ordered by (row, colex(J))
+    equations: BilinearSystem
     data: SparseMatrix
 
     @property
@@ -100,9 +106,9 @@ class MacaulayMatrix:
     def col_id(self, mono: tuple[int, ...], plucker: tuple[int, ...]) -> int:
         return monomial_rank(mono) * len(self.pluckers) + subset_rank(plucker)
 
-    def row_label(self, row: int) -> tuple[tuple[int, ...], BilinearEquation]:
+    def row_label(self, row: int) -> tuple[tuple[int, ...], tuple[int, tuple[int, ...]]]:
         mu, eq = divmod(row, len(self.equations))
-        return self.row_monomials[mu], self.equations[eq]
+        return self.row_monomials[mu], self.equations.label(eq)
 
     def col_label(self, col: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         nu, t = divmod(col, len(self.pluckers))
@@ -129,9 +135,8 @@ def macaulay(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> Macau
     row_monos = tuple(monomials_colex(K, b - 1))
     col_monos = tuple(monomials_colex(K, b))
     pluckers = tuple(subsets_colex(n, r))
-    coef = np.array([e.coef for e in eqs])
-    eq_of, t, ell = np.nonzero(coef)
-    vals, plk = coef[eq_of, t, ell], np.array([e.plk for e in eqs])[eq_of, t]
+    eq_of, t, ell = np.nonzero(eqs.coef)
+    vals, plk = eqs.coef[eq_of, t, ell], eqs.plk[eq_of % len(eqs.plk), t]
     order = np.lexsort((plk, ell, eq_of))
     shift = np.array([[monomial_rank(monomial_mul(mu, v)) for v in range(K)] for mu in row_monos])
     row_nnz = np.tile(np.bincount(eq_of, minlength=len(eqs)), len(row_monos))

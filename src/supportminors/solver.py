@@ -37,7 +37,6 @@ from .instance import (
     iter_projective,
     normalize_projective,
     projective_point_count,
-    verify_solution,
 )
 # `rref` has no caller here; perfbench/layers.py EXPECTED requires the binding.
 from .linalg import det, rank as matrix_rank, right_kernel_basis, rref  # noqa: F401
@@ -251,8 +250,7 @@ def solve_linearization(
 
     solutions = []
     for x in sorted(candidates):
-        if verify_solution(inst, x):
-            solutions.append(
-                SolutionCandidate(x, matrix_rank(f, evaluate_pencil(inst, x)))
-            )
+        achieved = matrix_rank(f, evaluate_pencil(inst, x))
+        if 0 < achieved <= inst.r:
+            solutions.append(SolutionCandidate(x, achieved))
     return solutions, diag(method, complete, notes)

@@ -12,7 +12,7 @@ generic pencil entry y_{h,j}:
   sum_t (-1)^t [ y_{h1, j_t} eq(h2, J+ \\ {j_t}) + y_{h2, j_t} eq(h1, J+ \\ {j_t}) ] = 0.
 
 Enumerated over generic y-variables, these specialize (y_{h,j} ->
-sum_l M_l[h,j] x_l, one gather from the stacked matrices) to x-linear
+sum_l M_l[h,j] x_l, one gather from the instance's stack) to x-linear
 syzygies of any concrete instance.  A specialized syzygy is checked
 exactly on arrays: for each Plucker coordinate T, the K x K matrix
 S_T[a, ell] sums entry coefficient of x_a times equation coefficient of
@@ -28,10 +28,11 @@ from math import comb
 import numpy as np
 
 from .combinatorics import subsets_colex
+from .estimator import sprime_count
 from .field import PrimeField
 from .instance import MinRankInstance
 from .linalg import rank as matrix_rank
-from .modeling import BilinearEquation, MacaulayMatrix, MATRIX_CELL_CAP, macaulay
+from .modeling import BilinearSystem, MacaulayMatrix, MATRIX_CELL_CAP, macaulay
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def specialize(s: Syzygy, inst: MinRankInstance) -> Syzygy:
     if not ks:
         return Syzygy("x", (), s.origin)
     # Products are below q^2 < 2^62 and are reduced before the per-entry sum.
-    terms = np.array(inst.matrices)[:, ks, js].T * np.array(cs)[:, None] % q
+    terms = inst.stack[:, ks, js].T * np.array(cs)[:, None] % q
     forms = (np.add.reduceat(terms, starts) % q).tolist()
     new_entries = []
     for key, row in zip(keys, forms):
@@ -142,18 +143,7 @@ def specialize(s: Syzygy, inst: MinRankInstance) -> Syzygy:
     return Syzygy("x", tuple(new_entries), s.origin)
 
 
-def _equation_rows(s: Syzygy, equations) -> list[int]:
-    """Position in `equations` of each entry's equation, in entry order."""
-    index = {(e.row, e.cols): i for i, e in enumerate(equations)}
-    try:
-        return [index[key] for key, _ in s.entries]
-    except KeyError as err:
-        raise ValueError(f"syzygy entry {err.args[0]} has no matching equation") from None
-
-
-def check_annihilation(
-    field: PrimeField, s: Syzygy, equations: list[BilinearEquation]
-) -> bool:
+def check_annihilation(field: PrimeField, s: Syzygy, equations: BilinearSystem) -> bool:
     """True iff sum over entries of entry * equation expands to zero.
 
     The expansion runs in the basis of (degree-2 x-monomial, Plucker subset)
@@ -164,14 +154,14 @@ def check_annihilation(
     """
     if s.universe != "x":
         raise ValueError("annihilation is checked after specialization")
-    rows = _equation_rows(s, equations)
-    if not rows:
+    if not s.entries:
         return True
+    rows = np.array([equations.index(*key) for key, _ in s.entries])
     q = field.q
-    coef = np.array([equations[i].coef for i in rows])  # (E, r+1, K)
-    plk = np.array([equations[i].plk for i in rows]).ravel()
+    coef = equations.coef[rows]  # (E, r+1, K)
+    plk = equations.plk[rows % len(equations.plk)].ravel()
     K = coef.shape[2]
-    x = [[0] * K for _ in rows]
+    x = [[0] * K for _ in s.entries]
     for row, (_, form) in zip(x, s.entries):
         for a, c in form.coeffs:
             if not 0 <= a < K:
@@ -195,7 +185,8 @@ def syzygy_row_vector(s: Syzygy, mac: MacaulayMatrix) -> np.ndarray:
     if mac.b != 2:
         raise ValueError("row vectors live over the degree-2 Macaulay matrix")
     v = np.zeros(mac.n_rows, dtype=np.int64)
-    for (_, form), ei in zip(s.entries, _equation_rows(s, mac.equations)):
+    for key, form in s.entries:
+        ei = mac.equations.index(*key)
         for a, c in form.coeffs:
             v[mac.row_id((a,), ei)] = c
     return v
@@ -215,7 +206,7 @@ def xonly_syzygy_dim(inst: MinRankInstance, d: int, cap: int = MATRIX_CELL_CAP) 
 
 def linear_syzygy_dim_prediction(m: int, n: int, r: int) -> int:
     """Generic count of x-linear syzygies: C(m+1, 2) * C(n, r+2)."""
-    return comb(m + 1, 2) * comb(n, r + 2)
+    return sum(sprime_count(m, n, r))
 
 
 def generator_family_counts(m: int, n: int, r: int) -> dict[str, int]:
@@ -228,13 +219,14 @@ def generator_family_counts(m: int, n: int, r: int) -> dict[str, int]:
     (row subsets meeting the pencil block in exactly the duplicated rows)
     are ever constructed.
     """
+    sprime1, sprime3 = sprime_count(m, n, r)
     return {
         "S1": comb(m + r, r + 1) * (r + 1) * comb(n, r + 2),
         "S2": comb(m + r, r + 2) * comb(n, r + 1) * (r + 1),
         "S3": comb(m + r, r + 2) * comb(n, r + 2) * (r + 1),
         "S4": comb(m + r, r + 2) * comb(n, r + 2) * (r + 1),
-        "Sprime1": m * comb(n, r + 2),
-        "Sprime3": comb(m, 2) * comb(n, r + 2),
+        "Sprime1": sprime1,
+        "Sprime3": sprime3,
     }
 
 

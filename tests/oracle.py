@@ -321,16 +321,26 @@ def ref_specialize(s, inst):
     return Syzygy("x", tuple(new_entries), s.origin)
 
 
-def ref_annihilates(q: int, s, equations) -> bool:
+def ref_equation_terms(inst, i: int, J: tuple[int, ...]) -> list:
+    """eq(i, J) by its definition: (x-variable, J minus j_t, (-1)^t M_ell[i, j_t])
+    triples with zero coefficients dropped."""
+    q = inst.field.q
+    return [(ell, J[:t] + J[t + 1 :], (-1) ** t * int(inst.matrices[ell][i, j]) % q)
+            for t, j in enumerate(J) for ell in range(inst.K) if inst.matrices[ell][i, j] % q]
+
+
+def ref_annihilates(inst, s) -> bool:
     """Expand sum of entry * equation over (degree-2 monomial, Plucker subset)
-    keys, term by term; True iff nothing survives mod q."""
-    eq_map = {(e.row, e.cols): e for e in equations}
+    keys, term by term, with every equation expanded from the instance's
+    matrices; True iff nothing survives mod q."""
+    q = inst.field.q
+    labels = {(i, J) for i in range(inst.m) for J in colex_subsets(inst.n, inst.r + 1)}
     acc: dict = {}
     for key, form in s.entries:
-        if key not in eq_map:
+        if key not in labels:
             raise ValueError(f"syzygy entry {key} has no matching equation")
         for a, ca in form.coeffs:
-            for ell, T, ce in eq_map[key].terms:
+            for ell, T, ce in ref_equation_terms(inst, *key):
                 k = ((min(a, ell), max(a, ell)), T)
                 v = (acc.get(k, 0) + ca * ce) % q
                 if v:

@@ -196,3 +196,23 @@ def test_matrix_cap_exit_2(tmp_path, capsys):
                        "--cap-matrix", "10")
     assert code == 2
     assert "refused" in err
+
+
+def test_check_b2_reads_syzygy_dim_off_its_rank(capsys, monkeypatch):
+    # At b = 2 the linear-syzygy dimension is rows - rank of the matrix that
+    # rank_check has already ranked, so no second elimination may run.
+    from supportminors import cli
+    from supportminors.instance import gen_random
+    from supportminors.syzygies import xonly_syzygy_dim
+
+    args = ["check", "--q", "32003", "--m", "4", "--n", "4", "--K", "8", "--r", "2",
+            "--seed", "3", "--b", "2"]
+    expected = [run(capsys, *args, *flag) for flag in ((), ("--machine",))]
+
+    def refuse(*a, **k):
+        raise AssertionError("xonly_syzygy_dim called at b = 2")
+
+    monkeypatch.setattr(cli, "xonly_syzygy_dim", refuse)
+    assert [run(capsys, *args, *flag) for flag in ((), ("--machine",))] == expected
+    dim = xonly_syzygy_dim(gen_random(PrimeField(32003), 4, 4, 8, 3, r=2), 1)
+    assert kv(expected[1][1])["syzdim_d1_observed"] == str(dim) == "10"

@@ -118,3 +118,10 @@ def test_report_structure_and_grammar():
     assert block1["predicted"] == "16"
     assert block1["solvable"] == "false"
     assert block1["precondition"] == "true"
+
+
+def test_eqs_b2_clamped_at_zero_outside_its_regime():
+    # K m C(n,r+1) - C(m+1,2) C(n,r+2) = 60 - 220 at (m,n,K,r) = (10,4,1,1).
+    assert eqs_b2(ParameterSet(10, 4, 1, 1)) == (0, False)
+    entry = complexity_report(ParameterSet(10, 4, 1, 1)).entries[1]
+    assert (entry["predicted"], entry["precondition"]) == (0, False)

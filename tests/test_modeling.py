@@ -3,13 +3,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from supportminors.combinatorics import monomial_mul, subsets_colex
+from supportminors.combinatorics import monomial_mul, subset_unrank, subsets_colex
 from supportminors.errors import CapExceededError
 from supportminors.field import PrimeField
-from supportminors.instance import MinRankInstance, gen_planted, gen_random
+from supportminors.instance import MinRankInstance, evaluate_pencil, gen_planted, gen_random
 from supportminors.linalg import rank
 from supportminors.modeling import build_equations, macaulay, rank_check
-from supportminors.solver import evaluate_pencil
 
 from oracle import Poly, evaluation_vector, extend_to_rank, mat_vec, poly_det
 
@@ -18,36 +17,58 @@ F7 = PrimeField(7)
 FBIG = PrimeField(32003)
 
 
+def _terms(eqs, e):
+    """Equation e as (x-variable, Plucker subset, coefficient) triples, read
+    from the `coef` and `plk` arrays that `macaulay` uses."""
+    s = e % len(eqs.plk)
+    return {(ell, subset_unrank(int(eqs.plk[s, t]), eqs.n, eqs.r), int(c))
+            for (t, ell), c in np.ndenumerate(eqs.coef[e]) if c}
+
+
 def test_hand_expanded_single_equation():
     inst = MinRankInstance(F5, 1, 2, 1, 1, (np.array([[1, 2]]),))
-    (eq,) = build_equations(inst)
-    assert eq.row == 0 and eq.cols == (0, 1)
+    eqs = build_equations(inst)
+    assert len(eqs) == 1 and eqs.label(0) == (0, (0, 1))
     # minor of [[x, 2x], [c0, c1]] on both columns: 1*x*c1 - 2*x*c0, -2 = 3 mod 5
-    assert set(eq.terms) == {(0, (1,), 1), (0, (0,), 3)}
+    assert eqs.coef.tolist() == [[[1], [3]]] and eqs.plk.tolist() == [[1, 0]]
+    assert _terms(eqs, 0) == {(0, (1,), 1), (0, (0,), 3)}
 
 
 def test_equation_count_and_order():
     inst = gen_random(F7, 3, 5, 2, seed=0, r=2)
     eqs = build_equations(inst)
     assert len(eqs) == 3 * comb(5, 3)
-    labels = [(e.row, e.cols) for e in eqs]
+    assert eqs.coef.shape == (len(eqs), 3, 2) and eqs.plk.shape == (comb(5, 3), 3)
+    labels = [eqs.label(e) for e in range(len(eqs))]
     expected = [(i, J) for i in range(3) for J in subsets_colex(5, 3)]
     assert labels == expected
+    assert [eqs.index(i, J) for i, J in expected] == list(range(len(eqs)))
+
+
+def test_system_index_rejects_foreign_labels():
+    eqs = build_equations(gen_random(F7, 3, 5, 2, seed=0, r=2))
+    for row, cols in [(3, (0, 1, 2)), (-1, (0, 1, 2)), (0, (0, 1)), (0, (0, 1, 2, 3)),
+                      (0, (2, 1, 0)), (0, (1, 1, 2)), (0, (0, 1, 5)), (0, (-1, 0, 1))]:
+        with pytest.raises(ValueError):
+            eqs.index(row, cols)
 
 
 def test_equation_terms_structure():
     inst = gen_random(F7, 2, 4, 3, seed=3, r=2)
-    for eq in build_equations(inst):
-        for ell, T, c in eq.terms:
+    eqs = build_equations(inst)
+    assert not eqs.coef.flags.writeable and not eqs.plk.flags.writeable
+    for e in range(len(eqs)):
+        row, cols = eqs.label(e)
+        for ell, T, c in _terms(eqs, e):
             assert c != 0
             assert len(T) == 2
             # T is J minus exactly one element.
-            missing = set(eq.cols) - set(T)
+            missing = set(cols) - set(T)
             assert len(missing) == 1
             (j,) = missing
-            t = eq.cols.index(j)
+            t = cols.index(j)
             sign = 1 if t % 2 == 0 else -1
-            assert c == sign * int(inst.matrices[ell][eq.row, j]) % 7
+            assert c == sign * int(inst.matrices[ell][row, j]) % 7
 
 
 def _symbolic_equation_check(inst):
@@ -55,22 +76,24 @@ def _symbolic_equation_check(inst):
     of C, must equal the Leibniz determinant of the stacked symbolic matrix."""
     q = inst.field.q
     r = inst.r
-    for eq in build_equations(inst):
+    eqs = build_equations(inst)
+    for e in range(len(eqs)):
+        row, cols = eqs.label(e)
         stacked = []
         top = []
-        for j in eq.cols:
+        for j in cols:
             form = Poly(q)
             for ell in range(inst.K):
-                coeff = int(inst.matrices[ell][eq.row, j])
+                coeff = int(inst.matrices[ell][row, j])
                 if coeff:
                     form = form + Poly(q, {(("x", ell),): coeff})
             top.append(form)
         stacked.append(top)
         for t in range(r):
-            stacked.append([Poly.var(q, ("c", t, j)) for j in eq.cols])
+            stacked.append([Poly.var(q, ("c", t, j)) for j in cols])
         direct = poly_det(q, stacked)
         via_terms = Poly(q)
-        for ell, T, c in eq.terms:
+        for ell, T, c in _terms(eqs, e):
             minor = poly_det(
                 q, [[Poly.var(q, ("c", t, j)) for j in T] for t in range(r)]
             )
@@ -92,9 +115,10 @@ def test_planted_solution_zeroes_equations():
         C = extend_to_rank(F7, evaluate_pencil(inst, x), 2)
         plk = plucker_vector(F7, C)
         tindex = {T: i for i, T in enumerate(subsets_colex(4, 2))}
-        for eq in build_equations(inst):
+        eqs = build_equations(inst)
+        for e in range(len(eqs)):
             total = 0
-            for ell, T, c in eq.terms:
+            for ell, T, c in _terms(eqs, e):
                 total = (total + c * x[ell] * int(plk[tindex[T]])) % 7
             assert total == 0
 
@@ -123,9 +147,9 @@ def test_macaulay_rows_are_monomial_multiples():
     mac = macaulay(inst, 2)
     dense = mac.data.to_dense()
     for row in range(mac.n_rows):
-        mu, eq = mac.row_label(row)
+        mu, label = mac.row_label(row)
         expected = {}
-        for ell, T, c in eq.terms:
+        for ell, T, c in _terms(mac.equations, mac.equations.index(*label)):
             expected[mac.col_id(monomial_mul(mu, ell), T)] = c
         got = {int(c): int(dense[row, c]) for c in np.flatnonzero(dense[row])}
         assert got == expected
@@ -153,8 +177,8 @@ def test_macaulay_index_maps_roundtrip():
     inst = gen_random(F7, 2, 4, 3, seed=8, r=2)
     mac = macaulay(inst, 2)
     for row in range(mac.n_rows):
-        mu, eq = mac.row_label(row)
-        assert mac.row_id(mu, mac.equations.index(eq)) == row
+        mu, label = mac.row_label(row)
+        assert mac.row_id(mu, mac.equations.index(*label)) == row
     for col in range(mac.n_cols):
         nu, T = mac.col_label(col)
         assert mac.col_id(nu, T) == col

@@ -165,6 +165,8 @@ def test_solve_b2_recovers_planted_witness():
         inst, x = gen_planted(FBIG, 4, 4, 3, 2, seed=seed)
         sols, diag = solve_linearization(inst, 2)
         assert diag.kernel_dim >= 1
+        # The reported rank is the Macaulay rank, whatever solutions were found.
+        assert diag.rank == diag.cols - diag.kernel_dim == rank(FBIG, solver.macaulay(inst, 2).data)
         assert normalize_projective(FBIG, x) in {s.x for s in sols}
         for s in sols:
             assert s.achieved_rank <= 2
