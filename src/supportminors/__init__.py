@@ -45,7 +45,7 @@ from .serialization import (
     write_instance,
     write_witness,
 )
-from .solver import SolveDiagnostics, plucker_vector, solve_linearization
+from .solver import SolveDiagnostics, solve_linearization
 from .syzygies import (
     LinearForm,
     Syzygy,

@@ -261,7 +261,9 @@ def cmd_check(args) -> int:
             out.say(f"linear syzygies: observed {dim} (no prediction: K below m(n-r))")
 
     if inst.r == inst.n - 1 and args.b >= 2:
-        emp = submax_dim_empirical(inst, args.b, cap=args.cap_matrix)
+        # At b = 2 this left kernel, too, is of the matrix rank_check has ranked.
+        emp = (rep.rows - rep.observed_rank if args.b == 2
+               else submax_dim_empirical(inst, args.b, cap=args.cap_matrix))
         formula = submax_dim_formula(inst.m, inst.n, inst.K, args.b)
         out.data("submax_b", args.b)
         out.data("submax_observed", emp)

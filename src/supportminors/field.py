@@ -49,12 +49,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
     def neg(self, a: int) -> int:
         return -a % self.q
 

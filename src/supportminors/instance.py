@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .field import PrimeField
-from .linalg import rank
+from .linalg import mat_mul, rank
 from .prng import ChaChaStream
 
 BRUTE_FORCE_CAP = 2_000_000  # projective points; keeps the oracle desk-scale
@@ -130,7 +130,7 @@ def gen_planted(
     while True:
         U = _random_array(stream, field, m, r)
         V = _random_array(stream, field, r, n)
-        target = U @ V % q
+        target = mat_mul(field, U, V)  # exact; U @ V in int64 can wrap at large q
         if target.any():
             break
     last = (target - _combine(mats, x[:-1], q)) * field.inv(x[-1]) % q

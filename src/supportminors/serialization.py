@@ -18,10 +18,15 @@ Witness sidecar (written next to planted instances as <path>.witness):
     q <q>
     K <K>
     x <K space-separated integers in [0, q)>
+
+Every integer is canonical (ASCII digits, no sign, no leading zero), as
+written.  Writing fills one format template per row; parsing matches each
+row against one regex and converts all entries at once into a (K, m, n) array.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +34,19 @@ import numpy as np
 from .field import PrimeField
 from .instance import MinRankInstance
 
+_TOKEN = "(?:0|[1-9][0-9]*)"
+_INT = re.compile(_TOKEN)
+_INTS = re.compile(f"{_TOKEN}(?: {_TOKEN})*")  # one space between tokens, none empty
+
 
 class FormatError(ValueError):
     """Raised when an instance or witness file violates the format."""
 
 
 def _int(token: str, what: str) -> int:
-    try:
-        v = int(token)
-    except ValueError:
-        raise FormatError(f"{what} {token!r} is not an integer") from None
-    if str(v) != token:  # the written form, so parse -> write is byte-identical
+    if not _INT.fullmatch(token):
         raise FormatError(f"{what} {token!r} is not a canonical integer")
-    return v
+    return int(token)
 
 
 def _field(q: int) -> PrimeField:
@@ -59,67 +64,55 @@ def _value(line: str, key: str) -> str:
 
 
 def write_instance(inst: MinRankInstance) -> str:
+    row = " ".join(["%d"] * inst.n)
     lines = ["minrank v1", f"q {inst.field.q}", f"m {inst.m} n {inst.n} K {inst.K} r {inst.r}"]
     for idx, M in enumerate(inst.matrices, start=1):
         lines.append(f"matrix {idx}")
-        for row in M:
-            lines.append(" ".join(str(int(v)) for v in row))
+        lines.extend(row % tuple(values) for values in M.tolist())
     return "\n".join(lines) + "\n"
 
 
 def parse_instance(text: str) -> MinRankInstance:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    else:
+    if not text.endswith("\n"):
         raise FormatError("file must end with a single LF")
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise FormatError("unexpected end of file")
-        line = lines[pos]
-        pos += 1
-        if line != line.rstrip():
-            raise FormatError(f"trailing whitespace on line {pos}")
-        return line
-
-    if take() != "minrank v1":
+    lines = text[:-1].split("\n")
+    if len(lines) < 3:
+        raise FormatError("unexpected end of file")
+    if lines[0] != "minrank v1":
         raise FormatError("missing 'minrank v1' header")
-    qline = take().split(" ")
+    qline = lines[1].split(" ")
     if len(qline) != 2 or qline[0] != "q":
         raise FormatError("malformed q line")
     field = _field(_int(qline[1], "q"))
     q = field.q
-    dims = take().split(" ")
+    dims = lines[2].split(" ")
     if len(dims) != 8 or dims[0::2] != ["m", "n", "K", "r"]:
         raise FormatError("malformed dimension line")
     m, n, K, r = (_int(v, "dimension") for v in dims[1::2])
     if min(m, n, K, r) < 1:
         raise FormatError("m, n, K, r must be positive")
-    mats = []
-    for idx in range(1, K + 1):
-        if take() != f"matrix {idx}":
+    rows = lines[3:]
+    if len(rows) != K * (m + 1):
+        raise FormatError(f"expected {K} matrices of {m} rows ({K * (m + 1)} lines), got {len(rows)}")
+    for idx, line in enumerate(rows[:: m + 1], start=1):
+        if line != f"matrix {idx}":
             raise FormatError(f"expected 'matrix {idx}'")
-        M = np.zeros((m, n), dtype=np.int64)
-        for i in range(m):
-            parts = take().split(" ")
-            if len(parts) != n:
-                raise FormatError(f"matrix {idx} row {i} has {len(parts)} entries, expected {n}")
-            for j, p in enumerate(parts):
-                try:  # inline rather than _int: this runs once per entry
-                    v = int(p)
-                except ValueError:
-                    raise FormatError(f"entry {p!r} is not an integer") from None
-                if not 0 <= v < q or str(v) != p:
-                    raise FormatError(f"entry {p!r} not a canonical integer in [0, {q})")
-                M[i, j] = v
-        mats.append(M)
-    if pos != len(lines):
-        raise FormatError("trailing content after the last matrix")
+    del rows[:: m + 1]
+    for pos, row in enumerate(rows):
+        if not (_INTS.fullmatch(row) and row.count(" ") == n - 1):
+            raise FormatError(f"matrix {pos // m + 1} row {pos % m} is not {n} canonical "
+                              f"integers separated by single spaces")
+    tokens = " ".join(rows).split(" ")
+    try:
+        stack = np.fromiter(map(int, tokens), np.int64, len(tokens))
+        bad = stack >= q  # entries are non-negative by the token rule
+    except OverflowError:  # an entry of 2**63 or more has more digits than q
+        bad = np.fromiter(map(len, tokens), np.int64, len(tokens)) > len(str(q))
+    if bad.any():
+        pos = int(np.argmax(bad)) // n
+        raise FormatError(f"matrix {pos // m + 1} row {pos % m} has an entry outside [0, {q})")
     try:  # r > n
-        return MinRankInstance(field, m, n, K, r, tuple(mats))
+        return MinRankInstance(field, m, n, K, r, stack.reshape(K, m, n))
     except ValueError as e:
         raise FormatError(str(e)) from None
 
@@ -137,7 +130,7 @@ def write_witness(q: int, x: tuple[int, ...]) -> str:
         "minrank-witness v1",
         f"q {q}",
         f"K {len(x)}",
-        "x " + " ".join(str(int(v)) for v in x),
+        "x " + " ".join(["%d"] * len(x)) % tuple(x),
     ]
     return "\n".join(lines) + "\n"
 
@@ -150,10 +143,14 @@ def parse_witness(text: str) -> tuple[int, tuple[int, ...]]:
         raise FormatError("missing witness header")
     q = _field(_int(_value(lines[1], "q"), "q")).q
     K = _int(_value(lines[2], "K"), "K")
-    xs = tuple(_int(v, "coordinate") for v in _value(lines[3], "x").split(" "))
+    coords = _value(lines[3], "x")
+    if not _INTS.fullmatch(coords):
+        raise FormatError(f"witness coordinates {coords!r} are not canonical integers "
+                          f"separated by single spaces")
+    xs = tuple(map(int, coords.split(" ")))
     if len(xs) != K:
         raise FormatError(f"witness has {len(xs)} coordinates, expected {K}")
-    if not all(0 <= v < q for v in xs):
+    if max(xs) >= q:
         raise FormatError(f"witness coordinates must lie in [0, {q})")
     return q, xs
 

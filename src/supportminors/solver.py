@@ -26,7 +26,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .combinatorics import subsets_colex
 from .field import PrimeField
 from .instance import (
     BRUTE_FORCE_CAP,
@@ -39,19 +38,11 @@ from .instance import (
     projective_point_count,
 )
 # `rref` has no caller here; perfbench/layers.py EXPECTED requires the binding.
-from .linalg import det, rank as matrix_rank, right_kernel_basis, rref  # noqa: F401
+from .linalg import rank as matrix_rank, right_kernel_basis, rref  # noqa: F401
 from .modeling import MATRIX_CELL_CAP, macaulay
 
 EXTRACTION_CAP = 8       # max kernel dimension the solver will sweep
 COMBO_CAP = 20_000       # max projective kernel combinations to enumerate
-
-
-def plucker_vector(field: PrimeField, C: np.ndarray) -> np.ndarray:
-    """All maximal minors of an r x n matrix, colex order on column subsets."""
-    r, n = C.shape
-    return np.array(
-        [det(field, C[:, T]) for T in subsets_colex(n, r)], dtype=np.int64
-    )
 
 
 @dataclass(frozen=True)

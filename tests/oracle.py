@@ -241,6 +241,14 @@ def mat_vec(field, M, v) -> np.ndarray:
                      for row in np.asarray(M).tolist()], dtype=np.int64)
 
 
+def plucker_vector(field, C) -> np.ndarray:
+    """All maximal minors of an r x n matrix, colex order on column subsets,
+    each by permutation expansion."""
+    rows = np.asarray(C).tolist()
+    return np.array([ref_det([[row[j] for j in T] for row in rows], field.q)
+                     for T in colex_subsets(len(rows[0]), len(rows))], dtype=np.int64)
+
+
 def extend_to_rank(field, M, r: int) -> np.ndarray:
     """An r x n full-rank matrix whose row space contains that of M: the
     nonzero RREF rows of M, padded with standard basis vectors of the

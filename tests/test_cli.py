@@ -199,20 +199,27 @@ def test_matrix_cap_exit_2(tmp_path, capsys):
 
 
 def test_check_b2_reads_syzygy_dim_off_its_rank(capsys, monkeypatch):
-    # At b = 2 the linear-syzygy dimension is rows - rank of the matrix that
-    # rank_check has already ranked, so no second elimination may run.
-    from supportminors import cli
+    # At b = 2 the linear-syzygy dimension (r + 2 <= n) and the submaximal one
+    # (r = n - 1) are rows - rank of the matrix that rank_check has already
+    # ranked, so each run may eliminate only once.
+    from supportminors import modeling, syzygies
     from supportminors.instance import gen_random
     from supportminors.syzygies import xonly_syzygy_dim
 
-    args = ["check", "--q", "32003", "--m", "4", "--n", "4", "--K", "8", "--r", "2",
-            "--seed", "3", "--b", "2"]
-    expected = [run(capsys, *args, *flag) for flag in ((), ("--machine",))]
+    calls = []
+    for module in (modeling, syzygies):
+        def counted(*a, _rank=module.matrix_rank, **k):
+            calls.append(a)
+            return _rank(*a, **k)
+        monkeypatch.setattr(module, "matrix_rank", counted)
 
-    def refuse(*a, **k):
-        raise AssertionError("xonly_syzygy_dim called at b = 2")
-
-    monkeypatch.setattr(cli, "xonly_syzygy_dim", refuse)
-    assert [run(capsys, *args, *flag) for flag in ((), ("--machine",))] == expected
-    dim = xonly_syzygy_dim(gen_random(PrimeField(32003), 4, 4, 8, 3, r=2), 1)
-    assert kv(expected[1][1])["syzdim_d1_observed"] == str(dim) == "10"
+    for (m, n, K, r), seed, key, value in [((4, 4, 8, 2), 3, "syzdim_d1_observed", "10"),
+                                           ((5, 3, 5, 2), 0, "submax_observed", "0")]:
+        args = ["check", "--q", "32003", "--m", str(m), "--n", str(n), "--K", str(K),
+                "--r", str(r), "--seed", str(seed), "--b", "2"]
+        calls.clear()
+        outs = [run(capsys, *args, *flag) for flag in ((), ("--machine",))]
+        assert len(calls) == 2  # one rank per run
+        dim = xonly_syzygy_dim(gen_random(PrimeField(32003), m, n, K, seed, r=r), 1)
+        assert kv(outs[1][1])[key] == str(dim) == value
+        assert outs[0][0] == outs[1][0] == 0

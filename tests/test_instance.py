@@ -250,8 +250,10 @@ GOLDEN_QS = (2, 3, 7, 32003, 2**31 - 1)
 GOLDEN_SHAPES = ((6, 6, 8, 2), (5, 6, 6, 2), (20, 20, 60, 10), (3, 5, 7, 1), (1, 2, 2, 1))
 GOLDEN_SEEDS = (0, 2**64 - 1)
 # sha256 over the serialized output of every generator call below, frozen
-# from the scalar keystream; it pins the draw order of the generators.
-GOLDEN_DIGEST = "920b5daaa7ff61a02cfbae1d41af7d807e81941fd43ed5dabb850ef11f3f210b"
+# from the scalar keystream; it pins the draw order of the generators.  The
+# two (20, 20, 60, 10) planted instances at q = 2^31 - 1 were re-frozen when
+# the planted target became an exact product (their witnesses had not verified).
+GOLDEN_DIGEST = "01fc1dc19300abaa12ce44936de184616b8b2819c98b258d9b9bbe77529652fb"
 
 
 def test_generated_instances_golden_digest():
@@ -261,6 +263,7 @@ def test_generated_instances_golden_digest():
         for m, n, K, r in GOLDEN_SHAPES:
             for seed in GOLDEN_SEEDS:
                 inst, x = gen_planted(F, m, n, K, r, seed)
+                assert verify_solution(inst, x)
                 h.update(write_instance(inst).encode("ascii"))
                 h.update(write_witness(q, x).encode("ascii"))
                 h.update(write_instance(gen_random(F, m, n, K, seed, r=r)).encode("ascii"))

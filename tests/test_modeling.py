@@ -10,7 +10,7 @@ from supportminors.instance import MinRankInstance, evaluate_pencil, gen_planted
 from supportminors.linalg import rank
 from supportminors.modeling import build_equations, macaulay, rank_check
 
-from oracle import Poly, evaluation_vector, extend_to_rank, mat_vec, poly_det
+from oracle import Poly, evaluation_vector, extend_to_rank, mat_vec, plucker_vector, poly_det
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -108,8 +108,6 @@ def test_equations_match_symbolic_minors():
 
 
 def test_planted_solution_zeroes_equations():
-    from supportminors.solver import plucker_vector
-
     for seed in range(5):
         inst, x = gen_planted(F7, 4, 4, 3, 2, seed=seed)
         C = extend_to_rank(F7, evaluate_pencil(inst, x), 2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance, gen_planted, gen_random, verify_solution
@@ -75,6 +77,16 @@ def test_file_roundtrip(tmp_path):
         lambda t: t + "extra\n",
         lambda t: t.rstrip("\n"),                        # missing final LF
         lambda t: t.replace("m 2 n 3 K 2 r 1", "m 2 n 3 K 2"),
+        # Tokens that int() accepts but the writer never emits; at q = 11 each
+        # would parse to an entry in range.
+        lambda t: t.replace("0 1 2\n", "0 +1 2\n"),
+        lambda t: t.replace("q 5", "q 11").replace("0 1 2\n", "0 1_0 2\n"),
+        lambda t: t.replace("0 1 2\n", "0 \u0663 2\n"),    # ARABIC-INDIC DIGIT THREE
+        lambda t: t.replace("0 1 2\n", " 0 1 2\n"),         # leading space
+        lambda t: t.replace("0 1 2\n", "0  1 2\n"),         # double space
+        lambda t: t.replace("0 1 2\n", "0\t1 2\n"),        # tab separator
+        lambda t: t.replace("0 1 2\n", "0 1 \n"),           # empty last token
+        lambda t: t.replace("3 4 0\n", "3 4 99999999999999999999\n"),  # above int64
     ],
 )
 def test_malformed_inputs_rejected(mutate):
@@ -106,8 +118,17 @@ def test_non_integer_instance_tokens_raise_format_error(text):
         TINY_TEXT.replace("K 2 r 1", "K 2 r 4"),
         TINY_TEXT.replace("m 2 n 3", "m -2 n 3"),
         ONE_BY_ONE.replace("K 1", "K 0").replace("matrix 1\n3\n", ""),
+        TINY_TEXT.replace("q 5\n", "q +5\n"),
+        TINY_TEXT.replace("q 5\n", "q 1_1\n"),
+        TINY_TEXT.replace("m 2 n 3", "m \u0662 n 3"),
+        TINY_TEXT.replace("q 5\n", " q 5\n"),
+        TINY_TEXT.replace("m 2 n 3", "m 2  n 3"),
+        TINY_TEXT.replace("q 5\n", "q\t5\n"),
+        TINY_TEXT.replace("K 2 r 1", "K 2 r 1 "),
     ],
-    ids=["q-leading-zero", "m-leading-zero", "q-not-prime", "r-above-n", "m-negative", "K-zero"],
+    ids=["q-leading-zero", "m-leading-zero", "q-not-prime", "r-above-n", "m-negative", "K-zero",
+         "q-plus", "q-underscore", "m-non-ascii", "q-leading-space", "double-space", "q-tab",
+         "empty-last-token"],
 )
 def test_header_errors_raise_format_error(text):
     with pytest.raises(FormatError):
@@ -130,10 +151,22 @@ def test_header_errors_raise_format_error(text):
         "minrank-witness v1\nq 7\nK 2\nx -2 1\n",
         "minrank-witness v1\nq 7\nK 2\nx 0 9\n",
         "minrank-witness v1\nq 7\nK 2\nx 0 7\n",
+        "minrank-witness v1\nq 7\nK 2\nx 0 +1\n",
+        "minrank-witness v1\nq 11\nK 2\nx 0 1_0\n",
+        "minrank-witness v1\nq 7\nK 2\nx 0 \u0663\n",
+        "minrank-witness v1\nq 7\nK 2\nx  0 1\n",
+        "minrank-witness v1\nq 7\nK 2\nx 0  1\n",
+        "minrank-witness v1\nq 7\nK 2\nx 0\t1\n",
+        "minrank-witness v1\nq 7\nK 2\nx 0 \n",
+        "minrank-witness v1\nq 7\nK +2\nx 0 1\n",
+        "minrank-witness v1\nq 1_1\nK 2\nx 0 1\n",
     ],
     ids=["q", "K", "coordinate", "empty-x", "K-leading-zero", "q-key-missing",
          "K-key-missing", "x-key-missing", "q-two-spaces", "q-not-prime",
-         "coordinate-negative", "coordinate-above-q", "coordinate-equals-q"],
+         "coordinate-negative", "coordinate-above-q", "coordinate-equals-q",
+         "coordinate-plus", "coordinate-underscore", "coordinate-non-ascii",
+         "coordinate-leading-space", "coordinate-double-space", "coordinate-tab",
+         "coordinate-empty-last", "K-plus", "q-underscore"],
 )
 def test_non_integer_witness_tokens_raise_format_error(text):
     with pytest.raises(FormatError):
@@ -158,3 +191,26 @@ def test_witness_against_reloaded_instance(tmp_path):
     reloaded = load_instance(p)
     _, wx = parse_witness(witness_path(p).read_text())
     assert verify_solution(reloaded, wx)
+
+
+@st.composite
+def instances(draw):
+    """Instances over the five test fields, entries biased to 0 and q - 1."""
+    q = draw(st.sampled_from([2, 3, 7, 32003, 2**31 - 1]))
+    m, n, K = (draw(st.integers(1, 4)) for _ in range(3))
+    r = draw(st.integers(1, n))
+    fill = draw(st.sampled_from(["zero", "top", "mixed"]))
+    entry = {"zero": st.just(0), "top": st.just(q - 1),
+             "mixed": st.sampled_from([0, q - 1]) | st.integers(0, q - 1)}[fill]
+    values = draw(st.lists(entry, min_size=K * m * n, max_size=K * m * n))
+    return MinRankInstance(PrimeField(q), m, n, K, r, np.array(values).reshape(K, m, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+@example(MinRankInstance(PrimeField(2**31 - 1), 1, 1, 1, 1, np.array([[[2**31 - 2]]])))
+@example(MinRankInstance(PrimeField(2), 1, 1, 1, 1, np.zeros((1, 1, 1), dtype=np.int64)))
+def test_roundtrip_property(inst):
+    text = write_instance(inst)
+    assert parse_instance(text) == inst
+    assert write_instance(parse_instance(text)) == text
