@@ -14,6 +14,7 @@ file that the solver failed to recover).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import CapExceededError
@@ -83,6 +84,7 @@ class _Out:
             print(text)
 
 
+@functools.cache  # built on the first `main` call, not at import, then reused
 def _build_parser() -> _Parser:
     p = _Parser(prog="supportminors", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -154,6 +156,8 @@ def cmd_gen(args) -> int:
     else:
         inst = gen_random(field, args.m, args.n, args.K, args.seed, r=args.r)
         witness = None
+        # A sidecar left by an earlier planted run would describe another instance.
+        witness_path(args.outfile).unlink(missing_ok=True)
     save_instance(args.outfile, inst)
     out.data("command", "gen")
     for key in ("q", "m", "n", "K", "r", "seed"):

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over GF(q).
 
 Matrices are 2-D numpy int64 arrays with entries reduced to [0, q).  One
-blocked elimination kernel serves ``rref``, ``rank`` and ``det``: a scalar
+blocked elimination kernel serves ``rref`` and ``rank``: a scalar
 first-nonzero loop finds the pivots of IB columns at a time and records
 their row operations, float64 matrix products apply them to the rest of
 their NB-column panel and each panel to the rest of the matrix, exact
@@ -29,6 +29,10 @@ _RED_CELLS = 2**13  # scratch cells of the mod-q reduction
 _EXACT = 2**53      # float64 holds every integer up to here exactly
 _LIMB = 65536.0     # operands of the limb product are split at 2**16
 _LIMB_K = 2**20     # inner-dimension chunk that keeps a limb product below _EXACT
+# Up to this inner dimension k the high limb product needs no reduction
+# before the middle ones are added: k * ((2**15-1)**2 * 2**16 + 2 * 2**31)
+# = k * 2**46 < 2**53.  Every panel update (k <= NB) is within it.
+_LIMB_LAZY_K = 127
 
 
 def as_matrix(field: PrimeField, data, dtype=np.int64) -> np.ndarray:
@@ -136,7 +140,8 @@ def _addmul_mod(C: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarr
     While k * (q-1)**2 + q <= 2**53 (inner dimension k; at q = 32003 any
     k up to 8.79 million) one product and one reduction suffice.
     Otherwise both operands are split into 16-bit limbs and multiplied in
-    four products, reduced between the high and the low half, with k cut
+    four products, reduced between the high and the low half (and, for
+    chunks wider than _LIMB_LAZY_K, after the high product), with k cut
     into chunks of _LIMB_K so that each limb sum stays below 2**53.  Sums
     are reduced in the contiguous product, then copied into C.
     """
@@ -149,7 +154,9 @@ def _addmul_mod(C: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarr
         a, b = A[:, s : s + _LIMB_K], B[s : s + _LIMB_K]
         a1, b1 = np.floor(a / _LIMB), np.floor(b / _LIMB)
         a0, b0 = a - a1 * _LIMB, b - b1 * _LIMB
-        T = _reduce(a1 @ b1, q)
+        T = a1 @ b1
+        if a.shape[1] > _LIMB_LAZY_K:
+            _reduce(T, q)
         T *= _LIMB
         T += a1 @ b0
         T += a0 @ b1
@@ -163,8 +170,7 @@ def _addmul_mod(C: np.ndarray, A: np.ndarray, B: np.ndarray, q: int) -> np.ndarr
 
 def _eliminate(field: PrimeField, P: np.ndarray, w: int, reduced: bool, follow=()):
     """First-nonzero Gaussian elimination of the first w columns of the int64
-    array P, in place; returns (pivot columns, d), d being the product of
-    the pivots times the sign of the row permutation, mod q.
+    array P, in place; returns the pivot columns.
 
     For each column in order, the first row at or below the current pivot
     row with a nonzero entry becomes the pivot and is swapped up; the rows
@@ -181,7 +187,6 @@ def _eliminate(field: PrimeField, P: np.ndarray, w: int, reduced: bool, follow=(
     tracked = P.shape[1] > w
     lazy = w * (q - 1) ** 2 + q < 2**63
     pivots: list[int] = []
-    d = 1
     order = list(range(h))
     for j in range(w):
         k = len(pivots)
@@ -196,9 +201,7 @@ def _eliminate(field: PrimeField, P: np.ndarray, w: int, reduced: bool, follow=(
             P[k], P[i] = P[i], P[k].copy()
             col[k], col[i] = col[i], col[k]
             order[k], order[i] = order[i], order[k]
-            d = -d
         piv = int(col[k])
-        d = d * piv % q
         if tracked:
             P[k, w + k] = 1
         end = w + k + 1 if tracked else w  # columns past end are still zero
@@ -220,7 +223,7 @@ def _eliminate(field: PrimeField, P: np.ndarray, w: int, reduced: bool, follow=(
     moved = [t for t in range(h) if order[t] != t]
     for A in follow:
         A[moved] = A[[order[t] for t in moved]]
-    return pivots, d % q
+    return pivots
 
 
 def _blocked(field: PrimeField, W: np.ndarray, w: int, reduced: bool, follow, widths):
@@ -240,7 +243,6 @@ def _blocked(field: PrimeField, W: np.ndarray, w: int, reduced: bool, follow, wi
         widths = widths[1:]  # a level of one panel only adds copies
     tracked = N > w
     pivots: list[int] = []
-    d = 1
     pr = 0
     for c0 in range(0, w, widths[0]):
         if pr == h:
@@ -252,9 +254,8 @@ def _blocked(field: PrimeField, W: np.ndarray, w: int, reduced: bool, follow, wi
         P = np.zeros((h - pr, wp + min(wp, h - pr) * track), np.float64 if inner else np.int64)
         P[:, :wp] = W[pr:, c0:c1]
         follow_p = (W[pr:], *(f[pr:] for f in follow)) if track else ()
-        local, dp = (_blocked(field, P, wp, reduced, follow_p, inner) if inner
-                     else _eliminate(field, P, wp, reduced, follow_p))
-        d = d * dp % q
+        local = (_blocked(field, P, wp, reduced, follow_p, inner) if inner
+                 else _eliminate(field, P, wp, reduced, follow_p))
         k = len(local)
         pivots += [c0 + j for j in local]
         if tracked:
@@ -272,14 +273,13 @@ def _blocked(field: PrimeField, W: np.ndarray, w: int, reduced: bool, follow, wi
                 _addmul_mod(above[:, c0:end], above[:, pivots[-k:]], _reduce(q - X, q), q)
                 piv_rows[:, c0:end] = X
         pr += k
-    return pivots, d
+    return pivots
 
 
 def _echelon(field: PrimeField, M, reduced: bool):
-    """(pivot columns, W, d) of `_blocked` on a float64 copy W of M."""
+    """(pivot columns, W) of `_blocked` on a float64 copy W of M."""
     W = as_matrix(field, M, np.float64)
-    pivots, d = _blocked(field, W, W.shape[1], reduced, (), (NB, IB))
-    return pivots, W, d
+    return _blocked(field, W, W.shape[1], reduced, (), (NB, IB)), W
 
 
 def rref(field: PrimeField, M: np.ndarray) -> tuple[int, np.ndarray, list[int]]:
@@ -288,7 +288,7 @@ def rref(field: PrimeField, M: np.ndarray) -> tuple[int, np.ndarray, list[int]]:
     Returns (rank, R, pivot_columns).  R is the unique RREF of M; pivots are
     strictly increasing.
     """
-    pivots, W, _ = _echelon(field, M, reduced=True)
+    pivots, W = _echelon(field, M, reduced=True)
     return len(pivots), W.astype(np.int64), pivots
 
 
@@ -320,17 +320,6 @@ def mat_mul(field: PrimeField, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     return _addmul_mod(np.zeros((len(A), B.shape[1])), A, B, field.q).astype(np.int64)
-
-
-def det(field: PrimeField, M: np.ndarray) -> int:
-    """Determinant of a square matrix: the product of the forward pivots
-    times the sign of the row permutation, 0 if any column lacks a pivot."""
-    M = as_matrix(field, M)
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise ValueError("determinant requires a square matrix")
-    pivots, _, d = _echelon(field, M, reduced=False)
-    return d if len(pivots) == n else 0
 
 
 def check_cell_cap(rows: int, cols: int, cap: int) -> None:

@@ -6,14 +6,20 @@ dict-based polynomial type, and a ChaCha20 block function that runs one
 quarter round at a time on Python ints, so the two sides of every
 comparison share no code path.  The syzygy references expand every
 entry x term product into a dict keyed by (monomial, Plucker subset).
+The `minrank v1` references format one row template per matrix row and
+parse each row with a regex and one int() per entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
+from supportminors.field import PrimeField
+from supportminors.instance import MinRankInstance
+from supportminors.serialization import FormatError
 from supportminors.syzygies import LinearForm, Syzygy
 
 
@@ -356,3 +362,68 @@ def ref_annihilates(inst, s) -> bool:
                 elif k in acc:
                     del acc[k]
     return not acc
+
+
+_TOKEN = "(?:0|[1-9][0-9]*)"
+_INT = re.compile(_TOKEN)
+_INTS = re.compile(f"{_TOKEN}(?: {_TOKEN})*")
+
+
+def ref_write_instance(inst) -> str:
+    row = " ".join(["%d"] * inst.n)
+    lines = ["minrank v1", f"q {inst.field.q}", f"m {inst.m} n {inst.n} K {inst.K} r {inst.r}"]
+    for idx, M in enumerate(inst.matrices, start=1):
+        lines.append(f"matrix {idx}")
+        lines.extend(row % tuple(values) for values in M.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def _ref_int(token: str, what: str) -> int:
+    if not _INT.fullmatch(token):
+        raise FormatError(f"{what} {token!r} is not a canonical integer")
+    return int(token)
+
+
+def ref_parse_instance(text: str):
+    """Raises FormatError on any file `ref_write_instance` could not have written."""
+    if not text.endswith("\n"):
+        raise FormatError("file must end with a single LF")
+    lines = text[:-1].split("\n")
+    if len(lines) < 3:
+        raise FormatError("unexpected end of file")
+    if lines[0] != "minrank v1":
+        raise FormatError("missing 'minrank v1' header")
+    qline = lines[1].split(" ")
+    if len(qline) != 2 or qline[0] != "q":
+        raise FormatError("malformed q line")
+    try:
+        field = PrimeField(_ref_int(qline[1], "q"))
+    except ValueError as e:
+        raise FormatError(str(e)) from None
+    q = field.q
+    dims = lines[2].split(" ")
+    if len(dims) != 8 or dims[0::2] != ["m", "n", "K", "r"]:
+        raise FormatError("malformed dimension line")
+    m, n, K, r = (_ref_int(v, "dimension") for v in dims[1::2])
+    if min(m, n, K, r) < 1:
+        raise FormatError("m, n, K, r must be positive")
+    rows = lines[3:]
+    if len(rows) != K * (m + 1):
+        raise FormatError(f"expected {K} matrices of {m} rows ({K * (m + 1)} lines), got {len(rows)}")
+    for idx, line in enumerate(rows[:: m + 1], start=1):
+        if line != f"matrix {idx}":
+            raise FormatError(f"expected 'matrix {idx}'")
+    del rows[:: m + 1]
+    values = []
+    for pos, row in enumerate(rows):
+        if not (_INTS.fullmatch(row) and row.count(" ") == n - 1):
+            raise FormatError(f"matrix {pos // m + 1} row {pos % m} is not {n} canonical "
+                              f"integers separated by single spaces")
+        values.append([int(v) for v in row.split(" ")])
+    for pos, row in enumerate(values):
+        if max(row) >= q:
+            raise FormatError(f"matrix {pos // m + 1} row {pos % m} has an entry outside [0, {q})")
+    try:  # r > n
+        return MinRankInstance(field, m, n, K, r, np.array(values, dtype=np.int64).reshape(K, m, n))
+    except ValueError as e:
+        raise FormatError(str(e)) from None

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from supportminors import cli
 from supportminors.cli import main
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance
@@ -67,6 +69,20 @@ def test_solve_witness_miss_exits_3(tmp_path, capsys):
     pairs = kv(out)
     assert pairs["witness_recovered"] == "false"
     assert pairs["complete"] == "false"
+
+
+def test_random_gen_removes_stale_witness(tmp_path, capsys):
+    # The sidecar of an earlier planted instance at the same path would
+    # otherwise be checked against the new, unrelated instance.
+    path = tmp_path / "inst.mr"
+    args = ["gen", "--q", "7", "--m", "3", "--n", "3", "--K", "3", "--r", "1", "--out", str(path)]
+    assert run(capsys, *args, "--planted", "--seed", "1")[0] == 0
+    assert (tmp_path / "inst.mr.witness").exists()
+    assert run(capsys, *args, "--seed", "2")[0] == 0
+    assert not (tmp_path / "inst.mr.witness").exists()
+    code, out, _ = run(capsys, "solve", "--in", str(path), "--b", "1", "--machine")
+    assert code == 0
+    assert "witness_recovered" not in kv(out)
 
 
 def test_solve_unusable_witness_exits_1(tmp_path, capsys):
@@ -223,3 +239,36 @@ def test_check_b2_reads_syzygy_dim_off_its_rank(capsys, monkeypatch):
         dim = xonly_syzygy_dim(gen_random(PrimeField(32003), m, n, K, seed, r=r), 1)
         assert kv(outs[1][1])[key] == str(dim) == value
         assert outs[0][0] == outs[1][0] == 0
+
+
+def test_parser_built_once_gives_same_results(tmp_path, capsys, monkeypatch):
+    """A run of `main` calls on the parser built once per process prints and
+    returns what it does when each call builds its own parser."""
+    path = tmp_path / "p.mr"
+    calls = [["solve", "--b", "1"],
+             ["gen", "--planted", "--q", "7", "--m", "3", "--n", "3", "--K", "3", "--r", "1",
+              "--seed", "1", "--out", str(path), "--machine"],
+             ["solve", "--in", str(path), "--b", "1", "--machine"],
+             ["nonsense"],
+             ["--help"],
+             ["solve", "--in", str(path), "--b", "1"]]
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as e:  # --help
+                code = ("exit", e.code)
+            out = capsys.readouterr()
+            results.append((code, out.out, out.err))
+        return results
+
+    main(["nonsense"])  # the parser exists before the run
+    capsys.readouterr()
+    once = outcomes()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outcomes() == once
+    assert [r[0] for r in once] == [1, 0, 0, 1, ("exit", 0), 0]
+    assert once[0][2] == "usage error: missing required flag(s): --in\n"
+    assert once[4][1].startswith("usage: supportminors")

@@ -7,7 +7,6 @@ from supportminors.linalg import (
     SparseMatrix,
     as_matrix,
     check_cell_cap,
-    det,
     mat_mul,
     rank,
     right_kernel_basis,
@@ -15,7 +14,7 @@ from supportminors.linalg import (
 )
 from supportminors.prng import ChaChaStream
 
-from oracle import mat_vec, ref_det, ref_rank
+from oracle import mat_vec, ref_rank
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -115,17 +114,6 @@ def test_kernel_vectors_annihilate():
         assert len(basis) == 9 - rank(F7, M)
         for v in basis:
             assert not mat_vec(F7, M, v).any()
-
-
-def test_det_matches_leibniz():
-    for seed in range(10):
-        for n in (1, 2, 3, 4):
-            M = random_matrix(F7, n, n, seed * 10 + n)
-            assert det(F7, M) == ref_det(M.tolist(), 7)
-
-
-def test_det_singular():
-    assert det(F5, [[1, 2], [2, 4]]) == 0
 
 
 def test_mat_mul_reference():

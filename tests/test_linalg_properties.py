@@ -21,12 +21,13 @@ from supportminors.field import PrimeField
 from supportminors.instance import gen_planted, gen_random
 from supportminors.linalg import (
     _LIMB_K,
+    _LIMB_LAZY_K,
     _RED_CELLS,
     IB,
     NB,
     SparseMatrix,
+    _addmul_mod,
     _reduce,
-    det,
     mat_mul,
     rank,
     right_kernel_basis,
@@ -34,7 +35,7 @@ from supportminors.linalg import (
 )
 from supportminors.modeling import macaulay
 
-from oracle import perm_sign, ref_det, ref_rref
+from oracle import ref_rref
 
 QS = (2, 3, 7, 32003, 2**31 - 1)
 # The largest prime q with 16 * (q-1)**2 + q < 2**63: up to it a scalar loop
@@ -139,10 +140,12 @@ def reduce_cases(q: int, rnd: random.Random) -> list[int]:
     vals += [k * (q - 1) ** 2 + q - 1 - e for e in range(3)]
     vals += [2**53 - e for e in range(300)]
     vals += [rnd.randrange(2**e) for e in range(1, 54) for _ in range(30)]
-    if k == 0:  # the limb path: high, middle and low sums of one _LIMB_K chunk
+    if k == 0:  # the limb path: high, middle and low sums of one _LIMB_K chunk,
+        # and high plus middle of an unreduced chunk of _LIMB_LAZY_K
         hi, lo = (q - 1) >> 16, 2**16 - 1
         for bound in (_LIMB_K * hi * hi, (q - 1) * 2**16 + 2 * _LIMB_K * hi * lo,
-                      (q - 1) * 2**16 + _LIMB_K * lo * lo + q - 1):
+                      (q - 1) * 2**16 + _LIMB_K * lo * lo + q - 1,
+                      _LIMB_LAZY_K * (hi * hi * 2**16 + 2 * hi * lo)):
             vals += [bound - e for e in range(100)] + [rnd.randrange(bound) for _ in range(1000)]
     return [v for v in vals if 0 <= v <= 2**53]
 
@@ -182,40 +185,6 @@ def test_reduce_in_place_on_views(q, view):
     assert W.astype(np.int64).tolist() == expected
 
 
-@st.composite
-def square_with_det(draw):
-    """M = (row permutation of) U @ L with U upper triangular, L unit lower
-    triangular: det(M) = sign * prod(diag U), known without elimination."""
-    q = draw(st.sampled_from(QS))
-    n = draw(st.sampled_from((1, 2, 5, NB - 1, NB, NB + 1)))
-    rnd = random.Random(draw(st.integers(0, 2**32)))
-    diag = [rnd.randrange(1, q) for _ in range(n)]
-    if draw(st.booleans()):
-        diag[rnd.randrange(n)] = 0
-    U = [[diag[i] if i == j else rnd.randrange(q) if j > i else 0 for j in range(n)]
-         for i in range(n)]
-    L = [[1 if i == j else rnd.randrange(q) if j < i else 0 for j in range(n)]
-         for i in range(n)]
-    prod = [[sum(U[i][t] * L[t][j] for t in range(max(i, j), n)) % q for j in range(n)]
-            for i in range(n)]
-    perm = list(range(n))
-    rnd.shuffle(perm)
-    expected = perm_sign(perm)
-    for d in diag:
-        expected = expected * d % q
-    return q, [prod[p] for p in perm], expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(square_with_det())
-def test_det_matches_factorization(case):
-    q, M, expected = case
-    F = PrimeField(q)
-    assert det(F, np.array(M, dtype=np.int64)) == expected
-    if len(M) <= 5:
-        assert expected == ref_det(M, q)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(QS), st.integers(65, 300), st.integers(0, 2**32))
 def test_mat_mul_exact(q, k, seed):
@@ -225,3 +194,19 @@ def test_mat_mul_exact(q, k, seed):
     B = [[rnd.choice((q - 1, rnd.randrange(q))) for _ in range(4)] for _ in range(k)]
     expected = [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*B)] for row in A]
     assert mat_mul(PrimeField(q), A, B).tolist() == expected
+
+
+@pytest.mark.parametrize("k", [_LIMB_LAZY_K, _LIMB_LAZY_K + 1])
+def test_limb_product_at_lazy_bound(k):
+    """The widest product whose high limb sum is left unreduced and the
+    narrowest one reduced, with the largest operands of q = 2**31 - 1."""
+    q = 2**31 - 1
+    rnd = random.Random(k)
+    A = [[q - 1] * k, [rnd.randrange(q) for _ in range(k)]]
+    B = [[q - 1, rnd.randrange(q)] for _ in range(k)]
+    C = [[q - 1, q - 2], [0, rnd.randrange(q)]]
+    products = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+    assert mat_mul(PrimeField(q), A, B).tolist() == [[p % q for p in row] for row in products]
+    out = _addmul_mod(*(np.array(X, dtype=np.float64) for X in (C, A, B)), q)
+    assert out.astype(np.int64).tolist() == [[(c + p) % q for c, p in zip(crow, prow)]
+                                             for crow, prow in zip(C, products)]

@@ -16,6 +16,8 @@ from supportminors.serialization import (
     write_witness,
 )
 
+from oracle import ref_parse_instance, ref_write_instance
+
 F5 = PrimeField(5)
 
 TINY = MinRankInstance(
@@ -193,15 +195,23 @@ def test_witness_against_reloaded_instance(tmp_path):
     assert verify_solution(reloaded, wx)
 
 
+def _of_length(q: int):
+    """Entries below q with a digit count drawn first, so every length occurs."""
+    return st.integers(1, len(str(q - 1))).flatmap(
+        lambda k: st.integers(10 ** (k - 1) if k > 1 else 0, min(10**k, q) - 1))
+
+
 @st.composite
 def instances(draw):
-    """Instances over the five test fields, entries biased to 0 and q - 1."""
+    """Instances over the five test fields, entries biased to 0 and q - 1
+    or spread over every digit length."""
     q = draw(st.sampled_from([2, 3, 7, 32003, 2**31 - 1]))
     m, n, K = (draw(st.integers(1, 4)) for _ in range(3))
     r = draw(st.integers(1, n))
-    fill = draw(st.sampled_from(["zero", "top", "mixed"]))
+    fill = draw(st.sampled_from(["zero", "top", "mixed", "lengths"]))
     entry = {"zero": st.just(0), "top": st.just(q - 1),
-             "mixed": st.sampled_from([0, q - 1]) | st.integers(0, q - 1)}[fill]
+             "mixed": st.sampled_from([0, q - 1]) | st.integers(0, q - 1),
+             "lengths": _of_length(q)}[fill]
     values = draw(st.lists(entry, min_size=K * m * n, max_size=K * m * n))
     return MinRankInstance(PrimeField(q), m, n, K, r, np.array(values).reshape(K, m, n))
 
@@ -210,7 +220,67 @@ def instances(draw):
 @given(instances())
 @example(MinRankInstance(PrimeField(2**31 - 1), 1, 1, 1, 1, np.array([[[2**31 - 2]]])))
 @example(MinRankInstance(PrimeField(2), 1, 1, 1, 1, np.zeros((1, 1, 1), dtype=np.int64)))
+@example(MinRankInstance(PrimeField(100000007), 1, 3, 1, 1,  # 9 digits: two uint64 reads
+                         np.array([[[100000006, 99999999, 10000000]]])))
 def test_roundtrip_property(inst):
     text = write_instance(inst)
+    assert text == ref_write_instance(inst)
     assert parse_instance(text) == inst
     assert write_instance(parse_instance(text)) == text
+
+
+# One-character edits of a valid file: a digit, a separator, or a character
+# that the format never holds (CR, tab, sign, underscore, letter, non-ASCII digit).
+EDIT_CHARS = list("0123456789 \n\r\t+-_a\u0663")
+
+
+@settings(max_examples=400, deadline=None)
+@given(instances(), st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**6),
+       st.sampled_from(EDIT_CHARS))
+def test_single_edit_matches_reference(inst, op, pos, char):
+    text = write_instance(inst)
+    pos %= len(text) + (op == "insert")
+    edited = text[:pos] + (char if op != "delete" else "") + text[pos + (op != "insert"):]
+    try:
+        want = ref_parse_instance(edited)
+    except FormatError:
+        with pytest.raises(FormatError):
+            parse_instance(edited)
+    else:
+        assert parse_instance(edited) == want
+
+
+TWO_BY_THREE = (
+    "minrank v1\n"
+    "q 101\n"
+    "m 2 n 3 K 2 r 1\n"
+    "matrix 1\n"
+    "0 1 2\n"
+    "3 4 5\n"
+    "matrix 2\n"
+    "6 7 8\n"
+    "9 10 100\n"
+)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("9 10\n", "matrix 2 row 1 is not 3 canonical integers separated by single spaces"),
+        ("9 1x 100\n", "matrix 2 row 1 is not 3 canonical integers separated by single spaces"),
+        ("9 010 100\n", "matrix 2 row 1 is not 3 canonical integers separated by single spaces"),
+        ("9 10 101\n", "matrix 2 row 1 has an entry outside [0, 101)"),
+        ("9 10 99999999999999999999\n", "matrix 2 row 1 has an entry outside [0, 101)"),
+        ("9 10 100000000\n", "matrix 2 row 1 has an entry outside [0, 101)"),
+    ],
+    ids=["short-row", "bad-token", "leading-zero", "out-of-range", "above-int64",
+         "last-8-digits-in-range"],
+)
+def test_row_errors_name_matrix_and_row(row, message):
+    text = TWO_BY_THREE.replace("9 10 100\n", row)
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
+    with pytest.raises(FormatError) as ref_err:
+        ref_parse_instance(text)
+    assert str(ref_err.value) == message

@@ -13,7 +13,7 @@ from supportminors.instance import (
     gen_random,
     normalize_projective,
 )
-from supportminors.linalg import det, rank
+from supportminors.linalg import rank
 from supportminors.prng import ChaChaStream
 from supportminors.solver import (
     _quadratic_roots,
@@ -23,7 +23,7 @@ from supportminors.solver import (
 )
 from supportminors.combinatorics import subsets_colex
 
-from oracle import evaluation_vector, extend_to_rank, plucker_vector, ref_rank
+from oracle import evaluation_vector, extend_to_rank, plucker_vector, ref_det, ref_rank
 
 F7 = PrimeField(7)
 F31 = PrimeField(31)
@@ -42,7 +42,7 @@ def test_plucker_vector_matches_leibniz():
     M %= 7
     want = plucker_vector(F7, M)
     for idx, T in enumerate(subsets_colex(4, 2)):
-        assert det(F7, M[:, list(T)]) == want[idx]
+        assert ref_det(M[:, list(T)].tolist(), 7) == want[idx]
 
 
 def test_extend_to_rank():
