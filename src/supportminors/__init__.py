@@ -47,8 +47,8 @@ from .serialization import (
 )
 from .solver import SolveDiagnostics, solve_linearization
 from .syzygies import (
-    LinearForm,
-    Syzygy,
+    SpecializedFamily,
+    SyzygyFamily,
     check_annihilation,
     enumerate_sprime,
     enumerate_sprime1,

@@ -141,7 +141,8 @@ def _build_parser() -> _Parser:
 def _require(args, *names):
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
-        raise UsageError("missing required flag(s): " + ", ".join(f"--{n}" for n in missing))
+        flags = [{"outfile": "--out"}.get(n, f"--{n}") for n in missing]
+        raise UsageError("missing required flag(s): " + ", ".join(flags))
 
 
 def cmd_gen(args) -> int:

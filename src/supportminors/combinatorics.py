@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator
 
+import numpy as np
+
 
 def subset_rank(J: tuple[int, ...]) -> int:
     """Colex rank of a strictly increasing subset tuple."""
@@ -51,6 +53,14 @@ def subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
     for top in range(k - 1, n):
         for rest in subsets_colex(top, k - 1):
             yield rest + (top,)
+
+
+def drop_ranks(n: int, k: int) -> np.ndarray:
+    """(C(n, k), k) int64 table whose entry [colex(J), t] is the colex rank
+    of the k-subset J minus its element j_t."""
+    rank_of = {T: i for i, T in enumerate(subsets_colex(n, k - 1))}
+    return np.array([[rank_of[J[:t] + J[t + 1 :]] for t in range(k)]
+                     for J in subsets_colex(n, k)], dtype=np.int64).reshape(-1, k)
 
 
 def monomial_rank(mono: tuple[int, ...]) -> int:

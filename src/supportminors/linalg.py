@@ -44,10 +44,6 @@ def as_matrix(field: PrimeField, data, dtype=np.int64) -> np.ndarray:
     return M.astype(dtype) if reduced else (M % field.q).astype(dtype, copy=False)
 
 
-def zeros_matrix(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """Compressed sparse row (CSR) matrix: row i stores its nonzero values
@@ -88,7 +84,7 @@ class SparseMatrix:
         return cls(rows, cols, indptr, c, M[r, c])
 
     def to_dense(self) -> np.ndarray:
-        M = zeros_matrix(self.rows, self.cols)
+        M = np.zeros((self.rows, self.cols), dtype=np.int64)
         M[np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices] = self.values
         return M
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import estimator
 from .combinatorics import (
-    monomial_mul, monomial_rank, monomials_colex, subset_rank, subset_unrank, subsets_colex,
+    drop_ranks, monomial_mul, monomial_rank, monomials_colex, subset_rank, subset_unrank,
+    subsets_colex,
 )
 from .instance import MinRankInstance
 from .linalg import SparseMatrix, check_cell_cap, rank as matrix_rank
@@ -69,8 +70,7 @@ def build_equations(inst: MinRankInstance) -> BilinearSystem:
         raise ValueError(f"r={r} must be below n={n}: no (r+1)-column subsets exist")
     q = inst.field.q
     Js = list(subsets_colex(n, r + 1))
-    rank_of = {T: k for k, T in enumerate(subsets_colex(n, r))}
-    plk = np.array([[rank_of[J[:t] + J[t + 1 :]] for t in range(r + 1)] for J in Js], dtype=np.int64)
+    plk = drop_ranks(n, r + 1)
     sign = np.where(np.arange(r + 1) % 2, q - 1, 1)
     # (K, m, |Js|, r+1) gather, moved to (m, |Js|, r+1, K); products < 2^62.
     coef = np.moveaxis(inst.stack[:, :, np.array(Js)], 0, -1) * sign[:, None] % q

@@ -206,7 +206,12 @@ def save_instance(path: str | Path, inst: MinRankInstance) -> None:
 
 
 def load_instance(path: str | Path) -> MinRankInstance:
-    return parse_instance(Path(path).read_bytes().decode("ascii"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"non-ASCII byte 0x{data[e.start]:02x} at offset {e.start}") from None
+    return parse_instance(text)
 
 
 def write_witness(q: int, x: tuple[int, ...]) -> str:

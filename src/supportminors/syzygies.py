@@ -4,20 +4,21 @@ Two families annihilate the equations identically, for every instance over
 every field.  Writing eq(h, J) for the minor equations and working with a
 generic pencil entry y_{h,j}:
 
-* duplicated-row family: stacking row h twice over C on an (r+2)-column
-  set J+ and expanding along the duplicate gives
+* duplicated-row family S'1: stacking row h twice over C on an
+  (r+2)-column set J+ and expanding along the duplicate gives
   sum_t (-1)^t y_{h, j_t} eq(h, J+ \\ {j_t}) = 0;
-* two-row family: for rows h1 < h2 on columns J+, the difference of the
+* two-row family S'3: for rows h1 < h2 on columns J+, the difference of the
   expansions along the two pencil rows gives
   sum_t (-1)^t [ y_{h1, j_t} eq(h2, J+ \\ {j_t}) + y_{h2, j_t} eq(h1, J+ \\ {j_t}) ] = 0.
 
-Enumerated over generic y-variables, these specialize (y_{h,j} ->
-sum_l M_l[h,j] x_l, one gather from the instance's stack) to x-linear
-syzygies of any concrete instance.  A specialized syzygy is checked
-exactly on arrays: for each Plucker coordinate T, the K x K matrix
-S_T[a, ell] sums entry coefficient of x_a times equation coefficient of
-x_ell * c_T, and the syzygy holds iff every monomial coefficient vanishes
-mod q, i.e. S_T[a, b] + S_T[b, a] for a < b and S_T[a, a] on the diagonal.
+A family holds three read-only (F, E) int64 arrays, E = 2(r+2) entries per
+member: the equation index `eq` (as `BilinearSystem.index` numbers it), the
+y-variable `var` = k*n + j and `sign` in {-1, 0, +1}; S'1 members pad their
+second half with sign 0.  Members run over rows, then colex J+; entries over
+rows, then colex order of their equations' column sets.  `specialize`
+substitutes y_{k,j} -> sum_l M_l[k,j] x_l by one gather from the instance's
+stack, giving (F, E, K) x-forms mod q, and `check_annihilation` verifies
+them exactly on arrays (see there).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .combinatorics import subsets_colex
+from .combinatorics import drop_ranks, subsets_colex
 from .estimator import sprime_count
 from .field import PrimeField
 from .instance import MinRankInstance
@@ -35,161 +36,145 @@ from .linalg import rank as matrix_rank
 from .modeling import BilinearSystem, MacaulayMatrix, MATRIX_CELL_CAP, macaulay
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Sparse linear form; variables are (row, col) pairs in the generic
-    y-universe and plain int indices in the x-universe."""
+class _Members:
+    """`len`, one-member families `fam[i]` and iteration over them."""
 
-    universe: str  # "y" or "x"
-    coeffs: tuple[tuple[object, int], ...]  # (variable, nonzero coefficient)
+    _arrays: tuple[str, ...]
 
+    def __len__(self) -> int:
+        return len(self.eq)
 
-@dataclass(frozen=True)
-class Syzygy:
-    """Coefficient vector over equation ids (h, J) with linear-form entries."""
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]  # IndexError past the end; negative i counts from it
+        arrays = (getattr(self, a)[i : i + 1] for a in self._arrays)
+        return type(self)(self.m, self.n, self.r, *arrays)
 
-    universe: str
-    entries: tuple[tuple[tuple[int, tuple[int, ...]], LinearForm], ...]
-    origin: tuple
-
-
-# Tuples here are built from lists: tuple() of a generator starts at a guessed
-# size and resizes, so freed tuples pile up on the free list of their final
-# size instead of being reused (1.1 MB more peak RSS on check-fields).
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
-def _drops(jplus: tuple[int, ...]):
-    """(J+ minus j_t, j_t, (-1)^t) for every t, in colex order of J+ minus j_t.
+@dataclass(frozen=True, eq=False)
+class SyzygyFamily(_Members):
+    """Generic syzygies: member f is sum_e sign[f, e] * y_{var[f, e]} * eq(eq[f, e])."""
 
-    Dropping a later element leaves a colex-smaller subset, so the order is
-    by descending t.
-    """
-    return [(jplus[:t] + jplus[t + 1 :], jplus[t], -1 if t % 2 else 1)
-            for t in range(len(jplus) - 1, -1, -1)]
+    _arrays = ("eq", "var", "sign")
+    m: int
+    n: int
+    r: int
+    eq: np.ndarray
+    var: np.ndarray
+    sign: np.ndarray
 
 
-def enumerate_sprime1(m: int, n: int, r: int) -> list[Syzygy]:
+@dataclass(frozen=True, eq=False)
+class SpecializedFamily(_Members):
+    """x-linear syzygies of one instance: member f is
+    sum_e (sum_a forms[f, e, a] x_a) * eq(eq[f, e]), coefficients mod q."""
+
+    _arrays = ("eq", "forms")
+    m: int
+    n: int
+    r: int
+    eq: np.ndarray
+    forms: np.ndarray
+
+
+def _family(m: int, n: int, r: int, pairs: list[tuple[int, int]]) -> SyzygyFamily:
+    """Members over pairs (h1, h2), then colex J+: entry (u, t) is
+    (-1)^t y_{h_{1-u}, j_t} eq(h_u, J+ minus j_t), in order of u, then
+    descending t (colex order of J+ minus j_t); h1 = h2 (S'1) keeps u = 0."""
+    ts = np.arange(r + 1, -1, -1)
+    cols = np.array(list(subsets_colex(n, r + 2)), dtype=np.int64).reshape(-1, r + 2)[:, ts]
+    drops = drop_ranks(n, r + 2)[:, ts]
+    rows = np.array(pairs, dtype=np.int64).reshape(-1, 1, 2, 1)
+    live = (np.arange(2)[:, None] == 0) | (rows[:, :, :1] != rows[:, :, 1:])
+    full = (len(rows), len(cols), 2, r + 2)
+    arrays = [np.broadcast_to(a, full).reshape(-1, 2 * (r + 2)) for a in (
+        rows * comb(n, r + 1) + drops[:, None, :],
+        rows[:, :, ::-1] * n + cols[:, None, :],
+        live * np.where(ts % 2, -1, 1),
+    )]
+    for a in arrays:
+        a.setflags(write=False)
+    return SyzygyFamily(m, n, r, *arrays)
+
+
+def enumerate_sprime1(m: int, n: int, r: int) -> SyzygyFamily:
     """Duplicated-row syzygies: one per (h, (r+2)-subset J+); count m*C(n, r+2).
 
-    Entries are in (row, colex) order of their equation ids.  Empty when
-    r + 2 > n (no (r+2)-column subsets exist).
+    Empty when r + 2 > n (no (r+2)-column subsets exist).
     """
-    if r + 2 > n:
-        return []
-    return [
-        Syzygy("y", tuple([((h, sub), LinearForm("y", (((h, j), sign),)))
-                           for sub, j, sign in _drops(jplus)]), ("S1", h, jplus))
-        for h in range(m)
-        for jplus in subsets_colex(n, r + 2)
-    ]
+    return _family(m, n, r, [(h, h) for h in range(m)])
 
 
-def enumerate_sprime3(m: int, n: int, r: int) -> list[Syzygy]:
+def enumerate_sprime3(m: int, n: int, r: int) -> SyzygyFamily:
     """Two-row difference syzygies: one per (h1 < h2, J+); count C(m,2)*C(n, r+2).
 
     Entry (h1, J+ minus j_t) carries y_{h2, j_t} and entry (h2, J+ minus j_t)
-    carries y_{h1, j_t}, both with sign (-1)^t, in (row, colex) order.
+    carries y_{h1, j_t}, both with sign (-1)^t.
     """
-    if r + 2 > n or m < 2:
-        return []
-    out = []
-    for h1, h2 in subsets_colex(m, 2):
-        for jplus in subsets_colex(n, r + 2):
-            drops = _drops(jplus)
-            entries = tuple([((h, sub), LinearForm("y", (((other, j), sign),)))
-                             for h, other in ((h1, h2), (h2, h1)) for sub, j, sign in drops])
-            out.append(Syzygy("y", entries, ("S3", h1, h2, jplus)))
-    return out
+    return _family(m, n, r, list(subsets_colex(m, 2)))
 
 
-def enumerate_sprime(m: int, n: int, r: int) -> list[Syzygy]:
-    return enumerate_sprime1(m, n, r) + enumerate_sprime3(m, n, r)
+def enumerate_sprime(m: int, n: int, r: int) -> SyzygyFamily:
+    """S'1 followed by S'3, as one family."""
+    return _family(m, n, r, [(h, h) for h in range(m)] + list(subsets_colex(m, 2)))
 
 
-def specialize(s: Syzygy, inst: MinRankInstance) -> Syzygy:
-    """Substitute y_{k,j} -> sum_l M_l[k,j] x_l, producing an x-universe syzygy.
+def specialize(fam: SyzygyFamily, inst: MinRankInstance) -> SpecializedFamily:
+    """Substitute y_{k,j} -> sum_l M_l[k,j] x_l: forms[f, e] = sign[f, e] *
+    stack[:, k, j] mod q, one gather over all members.  Sign-0 entries and a
+    zero instance give zero forms."""
+    if (fam.m, fam.n, fam.r) != (inst.m, inst.n, inst.r):
+        raise ValueError(f"family for (m, n, r) = {(fam.m, fam.n, fam.r)} on an instance "
+                         f"with {(inst.m, inst.n, inst.r)}")
+    gathered = inst.stack.reshape(inst.K, -1)[:, fam.var]  # (K, F, E)
+    forms = np.moveaxis(gathered, 0, -1) * fam.sign[:, :, None] % inst.field.q
+    forms.setflags(write=False)
+    return SpecializedFamily(fam.m, fam.n, fam.r, fam.eq, forms)
 
-    One gather M[:, k, j] * c mod q over all y-terms, summed per entry.
-    Entries whose forms collapse to zero are dropped; a zero instance
-    therefore specializes every syzygy to the empty one.
+
+def _check_fits(spec: SpecializedFamily, eqs: BilinearSystem) -> None:
+    got = (spec.m, spec.n, spec.r, spec.forms.shape[2])
+    want = (eqs.m, eqs.n, eqs.r, eqs.coef.shape[2])
+    if got != want:
+        raise ValueError(f"family for (m, n, r, K) = {got} on a system with {want}")
+
+
+def check_annihilation(field: PrimeField, spec: SpecializedFamily, equations: BilinearSystem) -> bool:
+    """True iff every member's sum of entry * equation expands to zero, exactly.
+
+    For each member and Plucker coordinate T, S_T[a, ell] sums entry
+    coefficient of x_a times equation coefficient of x_ell c_T: outer
+    products of the entries' x-forms with their equations' (r+1) x K blocks,
+    reduced mod q (factors below 2^31, exact in int64), summed by one
+    one-hot product.  Every monomial coefficient must vanish mod q.
     """
-    if s.universe != "y":
-        raise ValueError("only y-universe syzygies can be specialized")
-    q = inst.field.q
-    keys, starts, ks, js, cs = [], [], [], [], []
-    for (h, J), form in s.entries:
-        if h >= inst.m or (J and J[-1] >= inst.n) or len(J) != inst.r + 1:
-            raise ValueError(f"entry ({h}, {J}) does not fit an m={inst.m}, "
-                             f"n={inst.n}, r={inst.r} instance")
-        if form.coeffs:
-            keys.append((h, J))
-            starts.append(len(ks))
-        for (k, j), c in form.coeffs:
-            if k >= inst.m or j >= inst.n:
-                raise ValueError(f"variable ({k}, {j}) out of range")
-            ks.append(k)
-            js.append(j)
-            cs.append(c % q)
-    if not ks:
-        return Syzygy("x", (), s.origin)
-    # Products are below q^2 < 2^62 and are reduced before the per-entry sum.
-    terms = inst.stack[:, ks, js].T * np.array(cs)[:, None] % q
-    forms = (np.add.reduceat(terms, starts) % q).tolist()
-    new_entries = []
-    for key, row in zip(keys, forms):
-        coeffs = tuple([(ell, c) for ell, c in enumerate(row) if c])
-        if coeffs:
-            new_entries.append((key, LinearForm("x", coeffs)))
-    return Syzygy("x", tuple(new_entries), s.origin)
-
-
-def check_annihilation(field: PrimeField, s: Syzygy, equations: BilinearSystem) -> bool:
-    """True iff sum over entries of entry * equation expands to zero.
-
-    The expansion runs in the basis of (degree-2 x-monomial, Plucker subset)
-    pairs, which is exact: no genericity or probabilistic reasoning is
-    involved.  Outer products of the entries' x-forms with their equations'
-    (r+1) x K blocks are reduced mod q (factors below 2^31, so each product
-    is exact in int64) and summed per Plucker rank by one product.
-    """
-    if s.universe != "x":
-        raise ValueError("annihilation is checked after specialization")
-    if not s.entries:
-        return True
-    rows = np.array([equations.index(*key) for key, _ in s.entries])
-    q = field.q
-    coef = equations.coef[rows]  # (E, r+1, K)
-    plk = equations.plk[rows % len(equations.plk)].ravel()
-    K = coef.shape[2]
-    x = [[0] * K for _ in s.entries]
-    for row, (_, form) in zip(x, s.entries):
-        for a, c in form.coeffs:
-            if not 0 <= a < K:
-                raise ValueError(f"x-variable {a} out of range for K={K}")
-            row[a] += c % q
-    x = np.array(x, dtype=np.int64) % q
-    outer = (x[:, None, :, None] * coef[:, :, None, :] % q).reshape(len(plk), K * K)
-    onehot = (np.arange(plk.max() + 1)[:, None] == plk).astype(np.int64)
-    S = (onehot @ outer % q).reshape(-1, K, K)
+    _check_fits(spec, equations)
+    q, (F, E, K), P = field.q, spec.forms.shape, comb(spec.n, spec.r)
+    X = E * (spec.r + 1)  # (entry, t) pairs per member
+    coef = equations.coef[spec.eq]  # (F, E, r+1, K)
+    plk = equations.plk[spec.eq % len(equations.plk)].reshape(F, 1, X)
+    outer = (spec.forms[:, :, None, :, None] * coef[:, :, :, None, :] % q).reshape(F, X, K * K)
+    onehot = (np.arange(P)[:, None] == plk).astype(np.int64)  # (F, P, X)
+    S = (onehot @ outer % q).reshape(F, P, K, K)
     # x_a x_b (a < b) collects S[a, b] + S[b, a] and x_a^2 collects S[a, a]
-    # alone; the doubled diagonal of `sym` is no test of it at q = 2.
-    sym = (S + S.transpose(0, 2, 1)) % q
-    return not sym.any() and not S.diagonal(axis1=1, axis2=2).any()
+    # alone; the doubled diagonal of the sum is no test of it at q = 2.
+    return not ((S + S.swapaxes(2, 3)) % q).any() and not S.diagonal(axis1=2, axis2=3).any()
 
 
-def syzygy_row_vector(s: Syzygy, mac: MacaulayMatrix) -> np.ndarray:
-    """Coefficient vector of an x-linear syzygy over the rows of a degree-2
-    Macaulay matrix; lies in the left kernel exactly when the syzygy holds."""
-    if s.universe != "x":
-        raise ValueError("row vectors are defined for specialized syzygies")
+def syzygy_row_vector(spec: SpecializedFamily, mac: MacaulayMatrix) -> np.ndarray:
+    """One row per member: its coefficient vector over the rows of a degree-2
+    Macaulay matrix, which lies in the left kernel exactly when the member
+    annihilates.  A member's nonzero entries name distinct equations, as in
+    the enumerated families."""
     if mac.b != 2:
         raise ValueError("row vectors live over the degree-2 Macaulay matrix")
-    v = np.zeros(mac.n_rows, dtype=np.int64)
-    for key, form in s.entries:
-        ei = mac.equations.index(*key)
-        for a, c in form.coeffs:
-            v[mac.row_id((a,), ei)] = c
-    return v
+    _check_fits(spec, mac.equations)
+    f, e, a = np.nonzero(spec.forms)
+    out = np.zeros((len(spec), mac.n_rows), dtype=np.int64)
+    out[f, a * len(mac.equations) + spec.eq[f, e]] = spec.forms[f, e, a]
+    return out
 
 
 def xonly_syzygy_dim(inst: MinRankInstance, d: int, cap: int = MATRIX_CELL_CAP) -> int:
@@ -213,11 +198,10 @@ def generator_family_counts(m: int, n: int, r: int) -> dict[str, int]:
     """Sizes of the four full generating families for the (r+1)-minor
     syzygies of the stacked (m+r) x n generic matrix.
 
-    Only the cardinality bookkeeping is provided: the families indexed over
-    all row subsets involve minors outside the solver's equation set, and
-    only their restrictions enumerated by enumerate_sprime1/enumerate_sprime3
-    (row subsets meeting the pencil block in exactly the duplicated rows)
-    are ever constructed.
+    Only the cardinality bookkeeping: the full families involve minors
+    outside the solver's equation set, and only their restrictions S'1 and
+    S'3 (row subsets meeting the pencil block in exactly the duplicated
+    rows) are enumerated.
     """
     sprime1, sprime3 = sprime_count(m, n, r)
     return {

@@ -4,8 +4,10 @@ Everything here is deliberately written without the package's linear
 algebra: pure-Python lists, permutation-expansion determinants, a tiny
 dict-based polynomial type, and a ChaCha20 block function that runs one
 quarter round at a time on Python ints, so the two sides of every
-comparison share no code path.  The syzygy references expand every
-entry x term product into a dict keyed by (monomial, Plucker subset).
+comparison share no code path.  The syzygy references enumerate the
+families from their definitions with itertools, and expand every
+entry x term product into a dict keyed by (monomial, Plucker subset); they
+read one member's equation labels through `BilinearSystem.label`.
 The `minrank v1` references format one row template per matrix row and
 parse each row with a regex and one int() per entry.
 """
@@ -20,7 +22,6 @@ import numpy as np
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance
 from supportminors.serialization import FormatError
-from supportminors.syzygies import LinearForm, Syzygy
 
 
 def ref_rref(rows: list[list[int]], q: int) -> tuple[int, list[list[int]], list[int]]:
@@ -311,28 +312,40 @@ def ref_macaulay(inst, b: int) -> list[list[int]]:
     return rows
 
 
-def ref_specialize(s, inst):
-    """y_{k,j} -> sum_l M_l[k,j] x_l, one dict entry per surviving x-variable."""
-    if s.universe != "y":
-        raise ValueError("only y-universe syzygies can be specialized")
-    q = inst.field.q
-    new_entries = []
-    for (h, J), form in s.entries:
-        if h >= inst.m or (J and J[-1] >= inst.n) or len(J) != inst.r + 1:
-            raise ValueError(f"entry ({h}, {J}) does not fit the instance")
+def ref_sprime(m: int, n: int, r: int) -> list[list[tuple[int, int, int]]]:
+    """S'1 then S'3 members, each a list of (equation index, y-variable
+    k * n + j, sign) entries, from the family definitions: a member over the
+    (r+2)-subset J+ pairs y_{k, j_t} with eq(h, J+ minus j_t) and sign
+    (-1)^t, for (h, k) = (h, h) in S'1 and both (h1, h2) and (h2, h1) in
+    S'3.  Members run over h (or colex (h1 < h2)), then colex J+; entries
+    are sorted by (h, colex of J+ minus j_t)."""
+    pos = {J: c for c, J in enumerate(colex_subsets(n, r + 1))}
+    groups = [[(h, h)] for h in range(m)]
+    groups += [[(h1, h2), (h2, h1)] for h1, h2 in colex_subsets(m, 2)]
+    out = []
+    for pairs in groups:
+        for Jp in colex_subsets(n, r + 2):
+            terms = [(h, Jp[:t] + Jp[t + 1 :], k * n + j, (-1) ** t)
+                     for h, k in pairs for t, j in enumerate(Jp)]
+            terms.sort(key=lambda term: (term[0], term[1][::-1]))
+            out.append([(h * len(pos) + pos[J], v, sign) for h, J, v, sign in terms])
+    return out
+
+
+def ref_specialize(fam, i: int, inst, eqs) -> list:
+    """Member i as (equation label, {x-variable: coefficient}) per entry:
+    y_{k,j} -> sum_l M_l[k,j] x_l, one dict entry per surviving x-variable."""
+    q, n = inst.field.q, inst.n
+    out = []
+    for e, v, c in zip(fam.eq[i].tolist(), fam.var[i].tolist(), fam.sign[i].tolist()):
+        k, j = divmod(v, n)
         acc: dict[int, int] = {}
-        for (k, j), c in form.coeffs:
-            if k >= inst.m or j >= inst.n:
-                raise ValueError(f"variable ({k}, {j}) out of range")
-            for ell in range(inst.K):
-                v = (acc.get(ell, 0) + c * int(inst.matrices[ell][k, j])) % q
-                if v:
-                    acc[ell] = v
-                elif ell in acc:
-                    del acc[ell]
-        if acc:
-            new_entries.append(((h, J), LinearForm("x", tuple(sorted(acc.items())))))
-    return Syzygy("x", tuple(new_entries), s.origin)
+        for ell in range(inst.K):
+            value = c * int(inst.matrices[ell][k, j]) % q
+            if value:
+                acc[ell] = value
+        out.append((eqs.label(e), acc))
+    return out
 
 
 def ref_equation_terms(inst, i: int, J: tuple[int, ...]) -> list:
@@ -343,18 +356,16 @@ def ref_equation_terms(inst, i: int, J: tuple[int, ...]) -> list:
             for t, j in enumerate(J) for ell in range(inst.K) if inst.matrices[ell][i, j] % q]
 
 
-def ref_annihilates(inst, s) -> bool:
-    """Expand sum of entry * equation over (degree-2 monomial, Plucker subset)
-    keys, term by term, with every equation expanded from the instance's
-    matrices; True iff nothing survives mod q."""
+def ref_annihilates(inst, eqs, spec, i: int) -> bool:
+    """Expand member i's sum of entry * equation over (degree-2 monomial,
+    Plucker subset) keys, term by term, with every equation expanded from
+    the instance's matrices; True iff nothing survives mod q."""
     q = inst.field.q
-    labels = {(i, J) for i in range(inst.m) for J in colex_subsets(inst.n, inst.r + 1)}
     acc: dict = {}
-    for key, form in s.entries:
-        if key not in labels:
-            raise ValueError(f"syzygy entry {key} has no matching equation")
-        for a, ca in form.coeffs:
-            for ell, T, ce in ref_equation_terms(inst, *key):
+    for e, form in zip(spec.eq[i].tolist(), spec.forms[i].tolist()):
+        terms = ref_equation_terms(inst, *eqs.label(e))
+        for a, ca in enumerate(form):
+            for ell, T, ce in terms:
                 k = ((min(a, ell), max(a, ell)), T)
                 v = (acc.get(k, 0) + ca * ce) % q
                 if v:

@@ -204,6 +204,22 @@ def test_usage_errors_exit_1(capsys):
                "--r", "1", "--out", "/tmp/x.mr")[0] == 1                # q not prime
 
 
+def test_missing_flags_named_as_typed(capsys):
+    code, out, err = run(capsys, "gen", "--q", "7")
+    assert code == 1 and out == ""
+    assert err == "usage error: missing required flag(s): --m, --n, --K, --r, --out\n"
+    code, _, err = run(capsys, "gen", "--m", "2", "--n", "2", "--K", "1", "--r", "1")
+    assert code == 1 and err == "usage error: missing required flag(s): --out\n"
+
+
+def test_non_ascii_input_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "inst.mr"
+    path.write_text("minrank v1\nq 7\nm 1 n 1 K 1 r 1\nmatrix 1\n\u0663\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: non-ASCII byte 0xd9 at offset 40\n"
+
+
 def test_matrix_cap_exit_2(tmp_path, capsys):
     path = tmp_path / "inst.mr"
     assert run(capsys, "gen", "--q", "7", "--m", "4", "--n", "6", "--K", "4", "--r", "2",

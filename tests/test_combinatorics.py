@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from supportminors.combinatorics import (
+    drop_ranks,
     monomial_count,
     monomial_mul,
     monomial_rank,
@@ -72,3 +73,12 @@ def test_monomial_mul():
     assert monomial_mul((), 2) == (2,)
     assert monomial_mul((0, 2), 1) == (0, 1, 2)
     assert monomial_mul((1, 1), 1) == (1, 1, 1)
+
+
+def test_drop_ranks_against_reference():
+    for n in range(0, 7):
+        for k in range(1, n + 2):
+            pos = {T: c for c, T in enumerate(colex_subsets(n, k - 1))}
+            want = [[pos[J[:t] + J[t + 1 :]] for t in range(k)] for J in colex_subsets(n, k)]
+            table = drop_ranks(n, k)
+            assert table.shape == (comb(n, k), k) and table.tolist() == want

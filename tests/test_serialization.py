@@ -65,6 +65,13 @@ def test_file_roundtrip(tmp_path):
     assert (tmp_path / "again.mr").read_bytes() == path.read_bytes()
 
 
+def test_load_non_ascii_names_byte_offset(tmp_path):
+    path = tmp_path / "inst.mr"
+    path.write_bytes(ONE_BY_ONE.replace("3\n", "\u0663\n").encode("utf-8"))
+    with pytest.raises(FormatError, match="non-ASCII byte 0xd9 at offset 40"):
+        load_instance(path)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

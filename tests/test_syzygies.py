@@ -8,8 +8,7 @@ from supportminors.instance import elementary_instance, gen_random
 from supportminors.linalg import mat_mul, rank
 from supportminors.modeling import build_equations, macaulay
 from supportminors.syzygies import (
-    LinearForm,
-    Syzygy,
+    SpecializedFamily,
     check_annihilation,
     enumerate_sprime,
     enumerate_sprime1,
@@ -21,6 +20,8 @@ from supportminors.syzygies import (
     syzygy_row_vector,
     xonly_syzygy_dim,
 )
+
+from oracle import ref_sprime
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -44,20 +45,52 @@ def test_counts_match_formulas_small_grid():
 
 
 def test_empty_when_too_few_columns():
-    assert enumerate_sprime1(3, 4, 3) == []
-    assert enumerate_sprime3(3, 4, 3) == []
-    assert enumerate_sprime3(1, 5, 1) == []  # needs two pencil rows
+    assert len(enumerate_sprime1(3, 4, 3)) == 0
+    assert len(enumerate_sprime3(3, 4, 3)) == 0
+    assert len(enumerate_sprime3(1, 5, 1)) == 0  # needs two pencil rows
+    assert enumerate_sprime(3, 4, 3).eq.shape == (0, 2 * 5)
+
+
+def test_families_match_reference_enumeration():
+    # r + 2 > n (empty), m = 1 (no S'3), n = r + 2, and larger shapes.
+    for m, n, r in [(2, 3, 2), (3, 4, 3), (1, 3, 1), (1, 5, 2), (1, 4, 2), (2, 4, 2),
+                    (3, 5, 1), (4, 6, 2), (5, 5, 3), (3, 7, 3)]:
+        fam = enumerate_sprime(m, n, r)
+        assert fam.eq.shape == fam.var.shape == fam.sign.shape == (len(fam), 2 * (r + 2))
+        got = [[(e, v, c) for e, v, c in zip(fam.eq[i].tolist(), fam.var[i].tolist(),
+                                             fam.sign[i].tolist()) if c]
+               for i in range(len(fam))]
+        assert got == ref_sprime(m, n, r)
+        s1, s3 = enumerate_sprime1(m, n, r), enumerate_sprime3(m, n, r)
+        for name in ("eq", "var", "sign"):
+            assert np.array_equal(getattr(fam, name),
+                                  np.concatenate((getattr(s1, name), getattr(s3, name))))
 
 
 def test_support_sizes():
-    for s in enumerate_sprime1(3, 5, 1):
-        assert len(s.entries) == 3  # r + 2 equations touched
-        for _, form in s.entries:
-            assert len(form.coeffs) == 1
-    for s in enumerate_sprime3(3, 5, 1):
-        assert len(s.entries) == 2 * 3  # both rows, r + 2 column drops each
-        for _, form in s.entries:
-            assert len(form.coeffs) == 1
+    # r + 2 equations touched by an S'1 member, both rows' r + 2 by an S'3 one.
+    assert ((enumerate_sprime1(3, 5, 1).sign != 0).sum(axis=1) == 3).all()
+    assert ((enumerate_sprime3(3, 5, 1).sign != 0).sum(axis=1) == 2 * 3).all()
+
+
+def test_member_protocol():
+    fam = enumerate_sprime(3, 5, 2)
+    members = list(fam)
+    assert len(members) == len(fam) == 3 * 5 + 3 * 5
+    for i in (0, 7, len(fam) - 1, -1):
+        one = fam[i]
+        assert len(one) == 1 and (one.m, one.n, one.r) == (3, 5, 2)
+        for name in ("eq", "var", "sign"):
+            assert np.array_equal(getattr(one, name)[0], getattr(fam, name)[i])
+    with pytest.raises(IndexError):
+        fam[len(fam)]
+    for a in (fam.eq, fam.var, fam.sign, members[3].sign):
+        assert not a.flags.writeable
+    inst = gen_random(F7, 3, 5, 2, seed=0, r=2)
+    spec = specialize(fam, inst)
+    assert not spec.forms.flags.writeable
+    for x, s in zip(spec, fam):
+        assert np.array_equal(x.forms, specialize(s, inst).forms)
 
 
 def test_identity_specialization_pins_signs():
@@ -66,8 +99,9 @@ def test_identity_specialization_pins_signs():
     for m, n, r in [(2, 3, 1), (2, 4, 2), (3, 4, 1), (4, 4, 2)]:
         inst = elementary_instance(F5, m, n, r)
         eqs = build_equations(inst)
-        for s in enumerate_sprime(m, n, r):
-            assert check_annihilation(F5, specialize(s, inst), eqs)
+        spec = specialize(enumerate_sprime(m, n, r), inst)
+        assert check_annihilation(F5, spec, eqs) is True
+        assert all(check_annihilation(F5, s, eqs) for s in spec)
 
 
 def test_universal_annihilation_random_instances():
@@ -75,63 +109,74 @@ def test_universal_annihilation_random_instances():
         f = PrimeField(q)
         for seed in range(3):
             inst = gen_random(f, 3, 4, 2, seed=seed, r=1)
-            eqs = build_equations(inst)
-            for s in enumerate_sprime(3, 4, 1):
-                assert check_annihilation(f, specialize(s, inst), eqs)
+            assert check_annihilation(f, specialize(enumerate_sprime(3, 4, 1), inst),
+                                      build_equations(inst))
 
 
 def test_perturbed_syzygy_fails():
     inst = gen_random(F7, 3, 4, 2, seed=1, r=1)
     eqs = build_equations(inst)
-    s = specialize(enumerate_sprime1(3, 4, 1)[0], inst)
-    key, form = s.entries[0]
-    bad_form = LinearForm("x", ((form.coeffs[0][0], (form.coeffs[0][1] + 1) % 7),)
-                          if form.coeffs[0][1] != 6 else ((form.coeffs[0][0], 1),))
-    bad = Syzygy("x", ((key, bad_form),) + s.entries[1:], s.origin)
-    assert not check_annihilation(F7, bad, eqs)
+    spec = specialize(enumerate_sprime(3, 4, 1), inst)
+    forms = spec.forms.copy()
+    e, a = np.argwhere(forms[5])[0]
+    forms[5, e, a] = (forms[5, e, a] + 1) % 7
+    bad = SpecializedFamily(spec.m, spec.n, spec.r, spec.eq, forms)
+    assert check_annihilation(F7, bad, eqs) is False
+    assert [check_annihilation(F7, s, eqs) for s in bad] == [i != 5 for i in range(len(bad))]
+    # Two copies of member 5, bumped by +1 and -1: their sums cancel, so a
+    # check that pooled members would pass them.
+    pair = np.repeat(spec.forms[5:6], 2, axis=0)
+    pair[0, e, a] = (pair[0, e, a] + 1) % 7
+    pair[1, e, a] = (pair[1, e, a] - 1) % 7
+    twins = SpecializedFamily(spec.m, spec.n, spec.r, np.repeat(spec.eq[5:6], 2, axis=0), pair)
+    assert check_annihilation(F7, twins, eqs) is False
 
 
 def test_zero_syzygy_annihilates():
-    eqs = build_equations(gen_random(F7, 2, 3, 2, seed=0, r=1))
-    assert check_annihilation(F7, Syzygy("x", (), ("S1", 0, ())), eqs)
+    inst = gen_random(F7, 1, 3, 2, seed=0, r=1)
+    spec = specialize(enumerate_sprime3(1, 3, 1), inst)
+    assert len(spec) == 0 and spec.forms.shape == (0, 6, 2)
+    assert check_annihilation(F7, spec, build_equations(inst)) is True
 
 
 def test_specialize_zero_instance_collapses():
     inst = elementary_instance(F5, 2, 4, 2)
     zero = gen_random(F5, 2, 4, 1, seed=0, r=2)
     zero = type(zero)(F5, 2, 4, 1, 2, (np.zeros((2, 4), dtype=np.int64),))
-    for s in enumerate_sprime(2, 4, 2):
-        assert specialize(s, zero).entries == ()
-        renamed = specialize(s, inst)
-        # Renaming: every coefficient stays a unit (+1 or -1 mod 5).
-        for _, form in renamed.entries:
-            assert all(c in (1, 4) for _, c in form.coeffs)
+    fam = enumerate_sprime(2, 4, 2)
+    assert not specialize(fam, zero).forms.any()
+    # Renaming: every live entry becomes one x-variable with a unit
+    # coefficient (+1 or -1 mod 5); sign-0 entries stay zero.
+    forms = specialize(fam, inst).forms
+    assert ((forms != 0).sum(axis=2) == (fam.sign != 0)).all()
+    assert np.isin(forms[forms != 0], (1, 4)).all()
 
 
 def test_specialize_dimension_mismatch():
-    s = enumerate_sprime1(3, 5, 2)[-1]  # touches column 4, absent below n=5
-    inst = gen_random(F7, 3, 4, 2, seed=0, r=2)
+    fam = enumerate_sprime1(3, 5, 2)
     with pytest.raises(ValueError):
-        specialize(s, inst)
-    wrong_r = gen_random(F7, 3, 5, 2, seed=0, r=1)
+        specialize(fam, gen_random(F7, 3, 4, 2, seed=0, r=2))  # n = 4
     with pytest.raises(ValueError):
-        specialize(enumerate_sprime1(3, 5, 2)[0], wrong_r)
+        specialize(fam, gen_random(F7, 3, 5, 2, seed=0, r=1))  # r = 1
+    with pytest.raises(ValueError):
+        specialize(fam, gen_random(F7, 2, 5, 2, seed=0, r=2))  # m = 2
 
 
 def test_check_annihilation_requires_matching_equations():
     inst = gen_random(F7, 3, 4, 2, seed=2, r=1)
-    s = specialize(enumerate_sprime1(3, 4, 1)[0], inst)
+    s = specialize(enumerate_sprime1(3, 4, 1), inst)
     with pytest.raises(ValueError):
         check_annihilation(F7, s, build_equations(gen_random(F7, 3, 4, 2, seed=2, r=2)))
 
 
 def test_check_annihilation_rejects_x_variable_out_of_range():
-    inst = gen_random(F7, 3, 4, 2, seed=2, r=1)
-    (key, _), *rest = specialize(enumerate_sprime1(3, 4, 1)[0], inst).entries
-    for a in (2, -1):  # K = 2
-        bad = Syzygy("x", ((key, LinearForm("x", ((a, 1),))), *rest), ("S1", 0, ()))
-        with pytest.raises(ValueError):
-            check_annihilation(F7, bad, build_equations(inst))
+    # Forms over x_0, x_1 (K = 2) against equations in x_0 .. x_2, and back.
+    s2 = specialize(enumerate_sprime1(3, 4, 1), gen_random(F7, 3, 4, 2, seed=2, r=1))
+    s3 = specialize(enumerate_sprime1(3, 4, 1), gen_random(F7, 3, 4, 3, seed=2, r=1))
+    with pytest.raises(ValueError):
+        check_annihilation(F7, s2, build_equations(gen_random(F7, 3, 4, 3, seed=2, r=1)))
+    with pytest.raises(ValueError):
+        check_annihilation(F7, s3, build_equations(gen_random(F7, 3, 4, 2, seed=2, r=1)))
 
 
 def test_xonly_dim_at_main_theorem_parameters():
@@ -157,19 +202,30 @@ def test_specialized_vectors_span_left_kernel():
         inst = gen_random(FBIG, 4, 4, 8, seed=seed, r=2)
         mac = macaulay(inst, 2)
         dense = mac.data.to_dense()
-        vecs = [syzygy_row_vector(specialize(s, inst), mac) for s in enumerate_sprime(4, 4, 2)]
-        assert len(vecs) == 10
-        for v in vecs:
-            assert not mat_mul(FBIG, v.reshape(1, -1), dense).any()
-        assert rank(FBIG, np.stack(vecs)) == 10
+        fam = enumerate_sprime(4, 4, 2)
+        vecs = syzygy_row_vector(specialize(fam, inst), mac)
+        assert vecs.shape == (10, mac.n_rows)
+        assert not mat_mul(FBIG, vecs, dense).any()
+        assert rank(FBIG, vecs) == 10
+        # Member by member: entry e's coefficient of x_a sits at row (x_a, eq).
+        spec = specialize(fam, inst)
+        for i in range(len(fam)):
+            v = np.zeros(mac.n_rows, dtype=np.int64)
+            for e, form in zip(spec.eq[i].tolist(), spec.forms[i].tolist()):
+                for a, c in enumerate(form):
+                    if c:
+                        v[mac.row_id((a,), e)] = c
+            assert np.array_equal(vecs[i], v)
         assert xonly_syzygy_dim(inst, 1) == 10
 
 
 def test_syzygy_row_vector_requires_degree_two():
     inst = gen_random(F7, 3, 4, 2, seed=0, r=1)
-    s = specialize(enumerate_sprime1(3, 4, 1)[0], inst)
+    s = specialize(enumerate_sprime1(3, 4, 1), inst)
     with pytest.raises(ValueError):
         syzygy_row_vector(s, macaulay(inst, 1))
+    with pytest.raises(ValueError):
+        syzygy_row_vector(s, macaulay(gen_random(F7, 3, 4, 3, seed=0, r=1), 2))
 
 
 def test_rank_nullity_identity():
@@ -224,10 +280,16 @@ def test_generator_family_bookkeeping():
 
 
 def test_entries_sorted_and_origin_tags():
-    for s in enumerate_sprime1(2, 4, 1):
-        assert s.origin[0] == "S1"
-        keys = [(h, k) for (h, k), _ in s.entries]
-        assert keys == sorted(keys, key=lambda hk: (hk[0], hk[1][::-1]))
-    for s in enumerate_sprime3(3, 4, 1):
-        assert s.origin[0] == "S3"
-        assert s.origin[1] < s.origin[2]
+    # Equation e = row * C(n, r+1) + colex(J), so (row, colex) order is
+    # increasing e.  A member's origin is its position: S'1 member
+    # h * C(n, r+2) + colex(J+) touches row h only, and S'3 member
+    # p * C(n, r+2) + colex(J+) rows h1 < h2 of the p-th colex pair.
+    m, n, r = 4, 5, 2
+    per_row = comb(n, r + 1)
+    pairs = [(h1, h2) for h2 in range(m) for h1 in range(h2)]
+    for fam, rows in ((enumerate_sprime1(m, n, r), [(h,) for h in range(m)]),
+                      (enumerate_sprime3(m, n, r), pairs)):
+        for i, (eq, sign) in enumerate(zip(fam.eq.tolist(), fam.sign.tolist())):
+            live = [e for e, c in zip(eq, sign) if c]
+            assert live == sorted(set(live))
+            assert sorted({e // per_row for e in live}) == list(rows[i // comb(n, r + 2)])

@@ -1,13 +1,15 @@
-"""Property test of the array-backed `specialize` / `check_annihilation`
+"""Property test of the array families' `specialize` / `check_annihilation`
 against the dict expansions `oracle.ref_specialize` / `oracle.ref_annihilates`.
 
 Fields span q in {2, 3, 7, 32003, 2**31 - 1}, shapes r in {1, n - 2} and
 m in {1, 2, 5}.  Pencil entries are drawn with Python's `random` at a chosen
-density.  Every enumerated syzygy of the drawn instance is checked as it is
-and under one perturbation: a coefficient bumped by 1 or q - 1, an added
-x-variable, or an entry moved to another equation's key; `specialize` also
-sees each syzygy with one added y-variable.  The empty syzygy and a GF(2)
-case where only a square monomial survives are checked apart.
+density.  The whole family of the drawn instance is specialized and checked
+as one batch, and every member is compared with the references.  Then each
+of three perturbations breaks one member of a copy of the batch: a
+coefficient bumped by 1 or q - 1, an added x-variable, or an entry moved to
+another equation.  The batch check must then be False, and among the
+one-member slices exactly that member.  The empty family and a GF(2) case
+where only a square monomial survives are checked apart.
 """
 
 import random
@@ -20,14 +22,13 @@ from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance
 from supportminors.modeling import build_equations
 from supportminors.syzygies import (
-    LinearForm,
-    Syzygy,
+    SpecializedFamily,
     check_annihilation,
     enumerate_sprime,
     specialize,
 )
 
-from oracle import ref_annihilates, ref_specialize
+from oracle import ref_annihilates, ref_equation_terms, ref_specialize
 
 QS = (2, 3, 7, 32003, 2**31 - 1)
 SHAPES = [(n, r) for n in (3, 4, 5) for r in sorted({1, n - 2})]  # (n, r)
@@ -42,31 +43,39 @@ def _instance(q, m, n, K, r, density, rnd):
     return MinRankInstance(PrimeField(q), m, n, K, r, mats)
 
 
-def _perturb(x: Syzygy, keys, K: int, q: int, rnd: random.Random) -> Syzygy:
-    entries = list(x.entries)
-    e = rnd.randrange(len(entries))
-    key, form = entries[e]
-    coeffs = dict(form.coeffs)
-    kind = rnd.choice(("bump", "add", "move"))
-    if kind == "bump":
-        a = rnd.choice(sorted(coeffs))
-        coeffs[a] = (coeffs[a] + rnd.choice((1, q - 1))) % q
-    elif kind == "add":
-        a = rnd.randrange(K)
-        coeffs[a] = (coeffs.get(a, 0) + rnd.randrange(1, q)) % q
+def _entries(spec, i, eqs):
+    return [(eqs.label(e), {a: c for a, c in enumerate(row) if c})
+            for e, row in zip(spec.eq[i].tolist(), spec.forms[i].tolist())]
+
+
+def _perturb(inst, eqs, spec, kind, rnd):
+    """(i, family) with one entry of a random member i changed by `kind` so
+    that the member no longer annihilates, or None when no entry of member i
+    allows it.
+
+    Adding d * x_a to an entry adds d * x_a * eq to the member's sum, which
+    is nonzero whenever eq is; moving a nonzero form f from eq to eq' adds
+    f * (eq' - eq), nonzero whenever eq' != eq as polynomials.
+    """
+    q, (F, E, K) = inst.field.q, spec.forms.shape
+    poly = [sorted(ref_equation_terms(inst, *eqs.label(e))) for e in range(len(eqs))]
+    eq, forms = spec.eq.copy(), spec.forms.copy()
+    i = rnd.randrange(F)
+    if kind == "move":
+        choices = [(e, t) for e in range(E) if forms[i, e].any()
+                   for t in range(len(eqs)) if poly[t] != poly[eq[i, e]]]
     else:
-        key = rnd.choice([k for k in keys if k != key])
-    entries[e] = (key, LinearForm("x", tuple(sorted((a, c) for a, c in coeffs.items() if c))))
-    return Syzygy("x", tuple(entries), x.origin)
-
-
-def _add_y_term(s: Syzygy, inst, rnd: random.Random) -> Syzygy:
-    entries = list(s.entries)
-    e = rnd.randrange(len(entries))
-    key, form = entries[e]
-    term = ((rnd.randrange(inst.m), rnd.randrange(inst.n)), rnd.randrange(-inst.field.q, inst.field.q))
-    entries[e] = (key, LinearForm("y", form.coeffs + (term,)))
-    return Syzygy("y", tuple(entries), s.origin)
+        choices = [(e, a) for e in range(E) if poly[eq[i, e]]
+                   for a in range(K) if kind == "add" or forms[i, e, a]]
+    if not choices:
+        return None
+    e, v = rnd.choice(choices)
+    if kind == "move":
+        eq[i, e] = v
+    else:
+        d = rnd.choice((1, q - 1)) if kind == "bump" else rnd.randrange(1, q)
+        forms[i, e, v] = (forms[i, e, v] + d) % q
+    return i, SpecializedFamily(spec.m, spec.n, spec.r, eq, forms)
 
 
 @st.composite
@@ -84,20 +93,25 @@ def cases(draw):
 @given(cases())
 def test_specialize_and_annihilation_match_reference(case):
     inst, rnd = case
-    q = inst.field.q
+    field = inst.field
     eqs = build_equations(inst)
-    keys = [eqs.label(e) for e in range(len(eqs))]
-    for s in enumerate_sprime(inst.m, inst.n, inst.r):
-        x = specialize(s, inst)
-        assert x == ref_specialize(s, inst)
-        y = _add_y_term(s, inst, rnd)
-        assert specialize(y, inst) == ref_specialize(y, inst)
-        assert check_annihilation(inst.field, x, eqs) is ref_annihilates(inst, x) is True
-        if x.entries and len(keys) > 1:
-            bad = _perturb(x, keys, inst.K, q, rnd)
-            assert check_annihilation(inst.field, bad, eqs) == ref_annihilates(inst, bad)
-    empty = Syzygy("x", (), ("S1", 0, ()))
-    assert check_annihilation(inst.field, empty, eqs) and ref_annihilates(inst, empty)
+    fam = enumerate_sprime(inst.m, inst.n, inst.r)
+    spec = specialize(fam, inst)
+    assert check_annihilation(field, spec, eqs) is True
+    for i in range(len(fam)):
+        assert _entries(spec, i, eqs) == ref_specialize(fam, i, inst, eqs)
+        assert ref_annihilates(inst, eqs, spec, i)
+    for kind in ("bump", "add", "move"):
+        perturbed = _perturb(inst, eqs, spec, kind, rnd)
+        if perturbed is None:
+            continue
+        i, bad = perturbed
+        assert not ref_annihilates(inst, eqs, bad, i)
+        assert check_annihilation(field, bad, eqs) is False
+        assert [check_annihilation(field, member, eqs) for member in bad] == [
+            j != i for j in range(len(bad))]
+    empty = SpecializedFamily(spec.m, spec.n, spec.r, spec.eq[:0], spec.forms[:0])
+    assert len(empty) == 0 and check_annihilation(field, empty, eqs) is True
 
 
 def test_square_monomial_alone_fails_at_q2():
@@ -109,11 +123,12 @@ def test_square_monomial_alone_fails_at_q2():
     M1 = np.array([[1, 0], [1, 0]], dtype=np.int64)
     inst = MinRankInstance(f, 2, 2, 2, 1, (M0, M1))
     eqs = build_equations(inst)
-    s = Syzygy("x", (((0, (0, 1)), LinearForm("x", ((0, 1),))),
-                     ((1, (0, 1)), LinearForm("x", ((1, 1),)))), ("S3", 0, 1, (0, 1)))
-    assert not ref_annihilates(inst, s)
+    s = SpecializedFamily(2, 2, 1, np.array([[eqs.index(0, (0, 1)), eqs.index(1, (0, 1))]]),
+                          np.array([[[1, 0], [0, 1]]]))
+    assert not ref_annihilates(inst, eqs, s, 0)
     assert not check_annihilation(f, s, eqs)
     # Over GF(3) the cross term 2 x_0 x_1 c_1 survives as well.
     f3 = PrimeField(3)
     inst3 = MinRankInstance(f3, 2, 2, 2, 1, (M0, M1))
-    assert not ref_annihilates(inst3, s) and not check_annihilation(f3, s, build_equations(inst3))
+    eqs3 = build_equations(inst3)
+    assert not ref_annihilates(inst3, eqs3, s, 0) and not check_annihilation(f3, s, eqs3)
