@@ -53,6 +53,7 @@ from .syzygies import (
     enumerate_sprime,
     enumerate_sprime1,
     enumerate_sprime3,
+    generator_family_counts,
     linear_syzygy_dim_prediction,
     specialize,
     submax_dim_empirical,

@@ -32,6 +32,7 @@ from .serialization import (
     FormatError,
     load_instance,
     parse_witness,
+    read_ascii,
     save_instance,
     witness_path,
     write_witness,
@@ -188,7 +189,7 @@ def cmd_solve(args) -> int:
     wpath = witness_path(args.infile)
     wx = None
     if wpath.exists():
-        wq, wx = parse_witness(wpath.read_bytes().decode("ascii"))
+        wq, wx = parse_witness(read_ascii(wpath))
         if (wq, len(wx)) != (inst.field.q, inst.K):
             raise FormatError(f"witness {wpath} is for q={wq} K={len(wx)}, but the "
                               f"instance has q={inst.field.q} K={inst.K}")
@@ -286,7 +287,7 @@ def cmd_check(args) -> int:
 
 def cmd_estimate(args) -> int:
     _require(args, "m", "n", "K", "r")
-    p = ParameterSet(args.m, args.n, args.K, args.r, args.q)
+    p = ParameterSet(args.m, args.n, args.K, args.r)
     out = _Out(args.machine)
     out.say(f"estimate m={p.m} n={p.n} K={p.K} r={p.r}")
     extra = (args.b,) if args.b else ()

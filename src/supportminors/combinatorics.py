@@ -69,19 +69,10 @@ def monomial_rank(mono: tuple[int, ...]) -> int:
     return subset_rank(staircased)
 
 
-def monomial_unrank(rank: int, K: int, d: int) -> tuple[int, ...]:
-    subset = subset_unrank(rank, K + d - 1, d)
-    return tuple(j - t for t, j in enumerate(subset))
-
-
 def monomials_colex(K: int, d: int) -> Iterator[tuple[int, ...]]:
     """All degree-d monomials in K variables, colex on exponent vectors."""
     for subset in subsets_colex(K + d - 1, d):
         yield tuple(j - t for t, j in enumerate(subset))
-
-
-def monomial_count(K: int, d: int) -> int:
-    return comb(K + d - 1, d)
 
 
 def monomial_mul(mono: tuple[int, ...], var: int) -> tuple[int, ...]:

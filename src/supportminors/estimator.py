@@ -18,7 +18,6 @@ class ParameterSet:
     n: int
     K: int
     r: int
-    q: int | None = None  # counting formulas are field-independent
 
     def __post_init__(self):
         if min(self.m, self.n, self.K, self.r) < 1:

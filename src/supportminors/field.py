@@ -1,7 +1,7 @@
 """Exact arithmetic in the prime field GF(q).
 
-Field elements are plain Python ints reduced to the range [0, q).  All
-operations reduce their result; ``inv`` raises ``ZeroDivisionError`` on 0.
+Field elements are plain Python ints reduced to the range [0, q); ``inv``
+returns one and raises ``ZeroDivisionError`` on 0.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class PrimeField:
         if not is_prime(q):
             raise ValueError(f"modulus {q} is not prime")
         self.q = q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
 
     def inv(self, a: int) -> int:
         a = int(a) % self.q  # int() also accepts numpy integer scalars

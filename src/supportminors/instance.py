@@ -94,11 +94,9 @@ def normalize_projective(field: PrimeField, x: Sequence[int]) -> tuple[int, ...]
     raise ValueError("cannot normalize the zero vector")
 
 
-def verify_solution(inst: MinRankInstance, x: Sequence[int], r: int | None = None) -> bool:
-    """True iff the pencil at x is nonzero with rank at most r."""
-    if r is None:
-        r = inst.r
-    return 0 < rank(inst.field, evaluate_pencil(inst, x)) <= r
+def verify_solution(inst: MinRankInstance, x: Sequence[int]) -> bool:
+    """True iff the pencil at x is nonzero with rank at most inst.r."""
+    return 0 < rank(inst.field, evaluate_pencil(inst, x)) <= inst.r
 
 
 def _random_array(stream: ChaChaStream, field: PrimeField, *shape: int) -> np.ndarray:
@@ -151,16 +149,12 @@ def iter_projective(field: PrimeField, K: int):
             yield prefix + tail
 
 
-def brute_force_solve(
-    inst: MinRankInstance, r: int | None = None, cap: int = BRUTE_FORCE_CAP
-) -> list[SolutionCandidate]:
-    """Exhaustive oracle: all normalized x with 0 < rank(pencil(x)) <= r.
+def brute_force_solve(inst: MinRankInstance, *, cap: int = BRUTE_FORCE_CAP) -> list[SolutionCandidate]:
+    """Exhaustive oracle: all normalized x with 0 < rank(pencil(x)) <= inst.r.
 
     Output is lexicographically sorted.  Refuses instances whose projective
     point count exceeds the cap.
     """
-    if r is None:
-        r = inst.r
     total = projective_point_count(inst.field.q, inst.K)
     if total > cap:
         raise CapExceededError(
@@ -169,7 +163,7 @@ def brute_force_solve(
     out = []
     for x in iter_projective(inst.field, inst.K):
         rk = rank(inst.field, evaluate_pencil(inst, x))
-        if 0 < rk <= r:
+        if 0 < rk <= inst.r:
             out.append(SolutionCandidate(x, rk))
     return out
 
@@ -205,7 +199,7 @@ def decoding_coefficients(field: PrimeField, x_hom: Sequence[int]) -> tuple[int,
     lam = x_hom[-1] % field.q
     if lam == 0:
         return None
-    scale = field.neg(field.inv(lam))
+    scale = -field.inv(lam) % field.q
     return tuple(v * scale % field.q for v in x_hom[:-1])
 
 

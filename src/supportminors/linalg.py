@@ -76,13 +76,6 @@ class SparseMatrix:
         if not self.values.all():
             raise ValueError("stored zeros are not allowed")
 
-    @classmethod
-    def from_dense(cls, M: np.ndarray) -> "SparseMatrix":
-        rows, cols = M.shape
-        r, c = np.nonzero(M)  # row-major, so columns increase within each row
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=rows))))
-        return cls(rows, cols, indptr, c, M[r, c])
-
     def to_dense(self) -> np.ndarray:
         M = np.zeros((self.rows, self.cols), dtype=np.int64)
         M[np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices] = self.values

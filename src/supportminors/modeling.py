@@ -18,6 +18,7 @@ x-monomials mu of degree b-1; rows are ordered monomial-major, then by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -82,13 +83,14 @@ def build_equations(inst: MinRankInstance) -> BilinearSystem:
 
 @dataclass(frozen=True)
 class MacaulayMatrix:
-    """Sparse Macaulay matrix at x-degree b with its index bijections."""
+    """Sparse Macaulay matrix at x-degree b.
+
+    Row (mu, e) sits at monomial_rank(mu) * len(equations) + e and column
+    (nu, T) at monomial_rank(nu) * C(n, r) + subset_rank(T).
+    """
 
     b: int
     K: int
-    row_monomials: tuple[tuple[int, ...], ...]  # degree b-1, colex order
-    col_monomials: tuple[tuple[int, ...], ...]  # degree b, colex order
-    pluckers: tuple[tuple[int, ...], ...]       # r-subsets, colex order
     equations: BilinearSystem
     data: SparseMatrix
 
@@ -99,25 +101,6 @@ class MacaulayMatrix:
     @property
     def n_cols(self) -> int:
         return self.data.cols
-
-    def row_id(self, mono: tuple[int, ...], eq_index: int) -> int:
-        return monomial_rank(mono) * len(self.equations) + eq_index
-
-    def col_id(self, mono: tuple[int, ...], plucker: tuple[int, ...]) -> int:
-        return monomial_rank(mono) * len(self.pluckers) + subset_rank(plucker)
-
-    def row_label(self, row: int) -> tuple[tuple[int, ...], tuple[int, tuple[int, ...]]]:
-        mu, eq = divmod(row, len(self.equations))
-        return self.row_monomials[mu], self.equations.label(eq)
-
-    def col_label(self, col: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        nu, t = divmod(col, len(self.pluckers))
-        return self.col_monomials[nu], self.pluckers[t]
-
-    def plucker_rank(self, T: tuple[int, ...]) -> int:
-        if T not in self.pluckers:
-            raise ValueError(f"{T} is not an r-subset of the column set")
-        return subset_rank(T)
 
 
 def macaulay(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> MacaulayMatrix:
@@ -132,18 +115,16 @@ def macaulay(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> Macau
     rows, cols = estimator.macaulay_dims(estimator.ParameterSet(inst.m, n, K, r), b)
     check_cell_cap(rows, cols, cap)
     eqs = build_equations(inst)
-    row_monos = tuple(monomials_colex(K, b - 1))
-    col_monos = tuple(monomials_colex(K, b))
-    pluckers = tuple(subsets_colex(n, r))
+    row_monos = list(monomials_colex(K, b - 1))
     eq_of, t, ell = np.nonzero(eqs.coef)
     vals, plk = eqs.coef[eq_of, t, ell], eqs.plk[eq_of % len(eqs.plk), t]
     order = np.lexsort((plk, ell, eq_of))
     shift = np.array([[monomial_rank(monomial_mul(mu, v)) for v in range(K)] for mu in row_monos])
     row_nnz = np.tile(np.bincount(eq_of, minlength=len(eqs)), len(row_monos))
     indptr = np.concatenate(([0], np.cumsum(row_nnz)))
-    indices = (shift[:, ell[order]] * len(pluckers) + plk[order]).ravel()
+    indices = (shift[:, ell[order]] * comb(n, r) + plk[order]).ravel()
     data = SparseMatrix(rows, cols, indptr, indices, np.tile(vals[order], len(row_monos)))
-    return MacaulayMatrix(b, K, row_monos, col_monos, pluckers, eqs, data)
+    return MacaulayMatrix(b, K, eqs, data)
 
 
 @dataclass(frozen=True)
@@ -165,7 +146,7 @@ def rank_check(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> Ran
     """
     if b not in (1, 2):
         raise ValueError(f"rank predictions exist only for b in {{1, 2}}, got {b}")
-    p = estimator.ParameterSet(inst.m, inst.n, inst.K, inst.r, inst.field.q)
+    p = estimator.ParameterSet(inst.m, inst.n, inst.K, inst.r)
     if b == 1:
         predicted, precondition = estimator.eqs_b1(p), True
     else:

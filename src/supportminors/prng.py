@@ -10,8 +10,8 @@ Blocks are computed in batches: `_keystream` runs the 20 rounds on a
 (16, N) uint32 state, one column per block, so each add / xor / rotate is
 one array operation over N blocks.  `ChaChaStream` refills a word buffer
 `_REFILL_BLOCKS` blocks at a time; `below_array` draws bounded values by
-filtering that buffer, and `u32`, `below` and `nonzero_below` are single
-draws through it.
+filtering that buffer, and `below` and `nonzero_below` are single draws
+through it.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class ChaChaStream:
         self._buf = _keystream(self._key, self._counter, self._nonce, _REFILL_BLOCKS)
         self._counter += _REFILL_BLOCKS
         self._pos = 0
-
-    def u32(self) -> int:
-        """Next keystream word as an unsigned 32-bit little-endian integer."""
-        return int(self.below_array(2**32, 1)[0])
 
     def below(self, bound: int) -> int:
         """Uniform draw in [0, bound) via rejection sampling on 32-bit words."""

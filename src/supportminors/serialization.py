@@ -205,13 +205,17 @@ def save_instance(path: str | Path, inst: MinRankInstance) -> None:
     Path(path).write_bytes(write_instance(inst).encode("ascii"))
 
 
-def load_instance(path: str | Path) -> MinRankInstance:
+def read_ascii(path: str | Path) -> str:
+    """The file's text; FormatError naming the first non-ASCII byte and its offset."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("ascii")
+        return data.decode("ascii")
     except UnicodeDecodeError as e:
         raise FormatError(f"non-ASCII byte 0x{data[e.start]:02x} at offset {e.start}") from None
-    return parse_instance(text)
+
+
+def load_instance(path: str | Path) -> MinRankInstance:
+    return parse_instance(read_ascii(path))
 
 
 def write_witness(q: int, x: tuple[int, ...]) -> str:

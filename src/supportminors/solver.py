@@ -23,9 +23,11 @@ brute-force oracle when the solution space itself is small enough to scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import comb
 
 import numpy as np
 
+from .combinatorics import monomials_colex, subset_rank
 from .field import PrimeField
 from .instance import (
     BRUTE_FORCE_CAP,
@@ -177,14 +179,17 @@ def solve_linearization(
     """
     if b not in (1, 2):
         raise ValueError(f"the solver linearizes at b in {{1, 2}}, got {b}")
+    fixed_col = None
+    if fix_pluecker is not None:
+        T = tuple(fix_pluecker)
+        if len(T) != inst.r or list(T) != sorted(set(T)) or not 0 <= T[0] <= T[-1] < inst.n:
+            raise ValueError(f"{T} is not an r-subset of the column set")
+        fixed_col = subset_rank(T)
     f = inst.field
     mac = macaulay(inst, b, cap=matrix_cap)
     kernel = right_kernel_basis(f, mac.data.to_dense())
     d = len(kernel)
     rk = mac.n_cols - d
-    fixed_col = None
-    if fix_pluecker is not None:
-        fixed_col = mac.plucker_rank(tuple(fix_pluecker))
 
     def diag(method, complete, notes=()):
         return SolveDiagnostics(
@@ -201,9 +206,9 @@ def solve_linearization(
     if d > EXTRACTION_CAP:
         limit = f"kernel dimension {d} exceeds cap {EXTRACTION_CAP}"
     else:
-        reshaped = np.array(kernel).reshape(d, len(mac.col_monomials), len(mac.pluckers))
+        reshaped = np.array(kernel).reshape(d, -1, comb(inst.n, inst.r))
         if b == 2:  # sym[a, c] = the row of x_a x_c, so col[sym] is symmetric and ~ x x^T
-            mono = np.array(mac.col_monomials)
+            mono = np.array(list(monomials_colex(inst.K, 2)))
             sym = np.empty((inst.K, inst.K), dtype=np.int64)
             sym[mono[:, 0], mono[:, 1]] = sym[mono[:, 1], mono[:, 0]] = np.arange(len(mono))
 

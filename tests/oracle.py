@@ -21,6 +21,7 @@ import numpy as np
 
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance
+from supportminors.linalg import SparseMatrix
 from supportminors.serialization import FormatError
 
 
@@ -273,17 +274,32 @@ def extend_to_rank(field, M, r: int) -> np.ndarray:
 
 def evaluation_vector(field, mac, x, C) -> np.ndarray:
     """Kernel-member candidate over the columns of `mac`: entry (nu, T) is
-    nu(x) * minor_T(C), minors by permutation expansion."""
+    nu(x) * minor_T(C), monomials and subsets in the colex lists above,
+    minors by permutation expansion."""
     q = field.q
     rows = np.asarray(C).tolist()
-    minors = [ref_det([[row[j] for j in T] for row in rows], q) for T in mac.pluckers]
+    pluckers = colex_subsets(mac.equations.n, mac.equations.r)
+    minors = [ref_det([[row[j] for j in T] for row in rows], q) for T in pluckers]
     out = []
-    for nu in mac.col_monomials:
+    for nu in colex_monomials(mac.K, mac.b):
         ev = 1
         for var in nu:
             ev = ev * x[var] % q
         out += [ev * p % q for p in minors]
     return np.array(out, dtype=np.int64)
+
+
+def ref_csr(M):
+    """The package's CSR of a dense matrix, its arrays built row by row."""
+    indptr, indices, values = [0], [], []
+    for row in np.asarray(M).tolist():
+        for c, v in enumerate(row):
+            if v:
+                indices.append(c)
+                values.append(v)
+        indptr.append(len(indices))
+    rows, cols = np.shape(M)
+    return SparseMatrix(rows, cols, indptr, indices, values)
 
 
 def ref_macaulay(inst, b: int) -> list[list[int]]:

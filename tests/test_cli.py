@@ -100,6 +100,16 @@ def test_solve_unusable_witness_exits_1(tmp_path, capsys):
         assert code == 1 and out == ""
 
 
+def test_solve_non_ascii_witness_exits_1(tmp_path, capsys):
+    path = tmp_path / "planted.mr"
+    assert run(capsys, "gen", "--q", "7", "--m", "3", "--n", "3", "--K", "2",
+               "--r", "1", "--seed", "0", "--planted", "--out", str(path))[0] == 0
+    path.with_name("planted.mr.witness").write_text(
+        "minrank-witness v1\nq 7\nK 2\nx 1 \u0663\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--in", str(path))
+    assert (code, out, err) == (1, "", "error: non-ASCII byte 0xd9 at offset 31\n")
+
+
 def test_solve_no_witness_no_solutions_exit_0(tmp_path, capsys):
     path = tmp_path / "rand.mr"
     assert run(capsys, "gen", "--q", "32003", "--m", "3", "--n", "5", "--K", "4",

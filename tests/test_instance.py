@@ -98,7 +98,7 @@ def test_gen_random_entry_histogram():
 def test_gen_random_no_spurious_solutions_small_K():
     for seed in range(5):
         inst = gen_random(PrimeField(31), 5, 5, 2, seed=seed, r=2)
-        assert brute_force_solve(inst, 2) == []
+        assert brute_force_solve(inst) == []
 
 
 def test_gen_planted_rank_bounded_and_deterministic():
@@ -129,7 +129,6 @@ def test_verify_solution():
     inst, x = gen_planted(F7, 3, 3, 2, 1, seed=0)
     assert not verify_solution(inst, [0, 0])
     assert verify_solution(inst, x)
-    assert verify_solution(inst, x, 1)
 
 
 def test_verify_scale_invariance():
@@ -145,7 +144,8 @@ def test_verify_rejects_rank_above_target():
     for x in iter_projective(F7, 2):
         P = evaluate_pencil(inst, x)
         if P.any() and rank(F7, P) == 2:
-            assert not verify_solution(inst, x, 1)
+            assert not verify_solution(inst, x)
+            assert verify_solution(MinRankInstance(F7, 3, 3, 2, 2, inst.matrices), x)
             found = True
             break
     assert found
@@ -165,7 +165,7 @@ def test_projective_enumeration_matches_reference():
 def test_brute_force_matches_independent_reenumeration():
     for seed in range(5):
         inst = gen_random(F3, 3, 3, 3, seed=seed, r=1)
-        got = brute_force_solve(inst, 1)
+        got = brute_force_solve(inst)
         expected = []
         for x in projective_points(3, 3):
             P = [[sum(c * int(M[i, j]) for c, M in zip(x, inst.matrices)) % 3
@@ -179,7 +179,7 @@ def test_brute_force_matches_independent_reenumeration():
 def test_brute_force_cap():
     inst = gen_random(F7, 2, 2, 9, seed=0)
     with pytest.raises(CapExceededError):
-        brute_force_solve(inst, 1, cap=1000)
+        brute_force_solve(inst, cap=1000)
 
 
 def test_solution_candidate_normalization_enforced():
@@ -224,7 +224,7 @@ def test_decoding_adapter_brute_force_recovery():
         code_coeffs = (1, 2)
         M0 = (code_coeffs[0] * basis[0] + code_coeffs[1] * basis[1] + s) % 3
         red = decoding_to_minrank(F3, M0, basis, 1)
-        hits = brute_force_solve(red.instance, 1)
+        hits = brute_force_solve(red.instance)
         decoded = {decoding_coefficients(F3, h.x) for h in hits}
         assert code_coeffs in decoded
 

@@ -25,7 +25,6 @@ from supportminors.linalg import (
     _RED_CELLS,
     IB,
     NB,
-    SparseMatrix,
     _addmul_mod,
     _reduce,
     mat_mul,
@@ -35,7 +34,7 @@ from supportminors.linalg import (
 )
 from supportminors.modeling import macaulay
 
-from oracle import ref_rref
+from oracle import ref_csr, ref_rref
 
 QS = (2, 3, 7, 32003, 2**31 - 1)
 # The largest prime q with 16 * (q-1)**2 + q < 2**63: up to it a scalar loop
@@ -98,7 +97,7 @@ def check_against_oracle(q, m, n, M):
     assert R.dtype == np.int64 and R.shape == (m, n)
     assert (rk, R.tolist(), piv) == (ref_rk, ref_R, ref_piv)
     assert rank(F, A) == ref_rk
-    assert rank(F, SparseMatrix.from_dense(A)) == ref_rk
+    assert rank(F, ref_csr(A)) == ref_rk
 
     expected = []
     for f in range(n):

@@ -1,16 +1,20 @@
+import functools
 from math import comb
 
 import numpy as np
 import pytest
 
-from supportminors.combinatorics import monomial_mul, subset_unrank, subsets_colex
+from supportminors.combinatorics import subset_unrank, subsets_colex
 from supportminors.errors import CapExceededError
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance, evaluate_pencil, gen_planted, gen_random
 from supportminors.linalg import rank
 from supportminors.modeling import build_equations, macaulay, rank_check
 
-from oracle import Poly, evaluation_vector, extend_to_rank, mat_vec, plucker_vector, poly_det
+from oracle import (
+    Poly, colex_monomials, colex_subsets, evaluation_vector, extend_to_rank, mat_vec,
+    plucker_vector, poly_det,
+)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -131,7 +135,7 @@ def test_macaulay_b1_dims():
     inst = gen_random(F7, 3, 5, 4, seed=1, r=1)
     mac = macaulay(inst, 1)
     assert (mac.n_rows, mac.n_cols) == (3 * comb(5, 2), 4 * comb(5, 1))
-    assert mac.row_monomials == ((),)
+    assert (mac.b, mac.K) == (1, 4)
 
 
 def test_macaulay_b2_dims_4423():
@@ -140,17 +144,25 @@ def test_macaulay_b2_dims_4423():
     assert (mac.n_rows, mac.n_cols) == (48, 36)
 
 
+def _col(K: int, n: int, r: int, nu: tuple[int, ...], T: tuple[int, ...]) -> int:
+    """Column (nu, T) by position in the oracle's colex lists."""
+    plk = colex_subsets(n, r)
+    return colex_monomials(K, len(nu)).index(tuple(sorted(nu))) * len(plk) + plk.index(T)
+
+
 def test_macaulay_rows_are_monomial_multiples():
     inst = gen_random(F7, 2, 4, 3, seed=9, r=2)
     mac = macaulay(inst, 2)
     dense = mac.data.to_dense()
-    for row in range(mac.n_rows):
-        mu, label = mac.row_label(row)
-        expected = {}
-        for ell, T, c in _terms(mac.equations, mac.equations.index(*label)):
-            expected[mac.col_id(monomial_mul(mu, ell), T)] = c
-        got = {int(c): int(dense[row, c]) for c in np.flatnonzero(dense[row])}
-        assert got == expected
+    col = functools.partial(_col, inst.K, inst.n, inst.r)
+    row = 0
+    for mu in colex_monomials(inst.K, 1):  # rows: monomial-major, then equation
+        for e in range(len(mac.equations)):
+            expected = {col(mu + (ell,), T): c for ell, T, c in _terms(mac.equations, e)}
+            got = {int(c): int(dense[row, c]) for c in np.flatnonzero(dense[row])}
+            assert got == expected
+            row += 1
+    assert row == mac.n_rows
 
 
 def test_macaulay_b1_rows_embed_in_b2():
@@ -159,27 +171,15 @@ def test_macaulay_b1_rows_embed_in_b2():
     m2 = macaulay(inst, 2)
     d1 = m1.data.to_dense()
     d2 = m2.data.to_dense()
-    for a in range(inst.K):  # multiplier variable
-        for ei in range(len(m1.equations)):
-            row1 = d1[m1.row_id((), ei)]
-            row2 = d2[m2.row_id((a,), ei)]
+    E = len(m1.equations)
+    col = functools.partial(_col, inst.K, inst.n, inst.r)
+    for a, mu in enumerate(colex_monomials(inst.K, 1)):  # multiplier variable
+        for ei in range(E):
+            row1 = d1[ei]
+            row2 = d2[a * E + ei]
             for ell in range(inst.K):
-                for T in m1.pluckers:
-                    assert (
-                        row1[m1.col_id((ell,), T)]
-                        == row2[m2.col_id(monomial_mul((a,), ell), T)]
-                    )
-
-
-def test_macaulay_index_maps_roundtrip():
-    inst = gen_random(F7, 2, 4, 3, seed=8, r=2)
-    mac = macaulay(inst, 2)
-    for row in range(mac.n_rows):
-        mu, label = mac.row_label(row)
-        assert mac.row_id(mu, mac.equations.index(*label)) == row
-    for col in range(mac.n_cols):
-        nu, T = mac.col_label(col)
-        assert mac.col_id(nu, T) == col
+                for T in colex_subsets(inst.n, inst.r):
+                    assert row1[col((ell,), T)] == row2[col(mu + (ell,), T)]
 
 
 def test_macaulay_cap():

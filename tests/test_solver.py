@@ -23,7 +23,10 @@ from supportminors.solver import (
 )
 from supportminors.combinatorics import subsets_colex
 
-from oracle import evaluation_vector, extend_to_rank, plucker_vector, ref_det, ref_rank
+from oracle import (
+    colex_monomials, colex_subsets, evaluation_vector, extend_to_rank, plucker_vector, ref_det,
+    ref_rank,
+)
 
 F7 = PrimeField(7)
 F31 = PrimeField(31)
@@ -290,6 +293,19 @@ def test_fix_pluecker_mode():
         solve_linearization(inst, 2, fix_pluecker=(0, 9))
 
 
+@pytest.mark.parametrize("T", [(0, 9), (1, 0), (1, 1), (-1, 2), (0, 1, 2), (0,)])
+def test_fix_pluecker_rejected_before_elimination(monkeypatch, T):
+    inst, _ = gen_planted(F31, 4, 4, 3, 2, seed=7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("macaulay built before fix_pluecker was checked")
+
+    monkeypatch.setattr(solver, "macaulay", refuse)
+    with pytest.raises(ValueError) as err:
+        solve_linearization(inst, 2, fix_pluecker=T)
+    assert str(err.value) == f"{T} is not an r-subset of the column set"
+
+
 def test_evaluation_vector_consistency_with_solver():
     from supportminors.modeling import macaulay
 
@@ -297,7 +313,7 @@ def test_evaluation_vector_consistency_with_solver():
     C = extend_to_rank(F31, evaluate_pencil(inst, x), 2)
     mac = macaulay(inst, 1)
     v = evaluation_vector(F31, mac, x, C)
-    W = v.reshape(len(mac.col_monomials), len(mac.pluckers))
+    W = v.reshape(len(colex_monomials(inst.K, 1)), len(colex_subsets(inst.n, inst.r)))
     assert rank(F31, W) == 1
 
 

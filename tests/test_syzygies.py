@@ -21,7 +21,7 @@ from supportminors.syzygies import (
     xonly_syzygy_dim,
 )
 
-from oracle import ref_sprime
+from oracle import colex_monomials, ref_sprime
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -209,12 +209,13 @@ def test_specialized_vectors_span_left_kernel():
         assert rank(FBIG, vecs) == 10
         # Member by member: entry e's coefficient of x_a sits at row (x_a, eq).
         spec = specialize(fam, inst)
+        mono_pos = {mu: k for k, mu in enumerate(colex_monomials(inst.K, 1))}
         for i in range(len(fam)):
             v = np.zeros(mac.n_rows, dtype=np.int64)
             for e, form in zip(spec.eq[i].tolist(), spec.forms[i].tolist()):
                 for a, c in enumerate(form):
                     if c:
-                        v[mac.row_id((a,), e)] = c
+                        v[mono_pos[(a,)] * len(mac.equations) + e] = c
             assert np.array_equal(vecs[i], v)
         assert xonly_syzygy_dim(inst, 1) == 10
 
