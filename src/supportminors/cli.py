@@ -185,7 +185,11 @@ def cmd_solve(args) -> int:
     out = _Out(args.machine)
     fix = None
     if args.fix_pluecker is not None:
-        fix = tuple(int(v) for v in args.fix_pluecker.split(","))
+        try:
+            fix = tuple(int(v) for v in args.fix_pluecker.split(","))
+        except ValueError:
+            raise UsageError("--fix-pluecker expects comma-separated column indices, "
+                             f"got {args.fix_pluecker!r}") from None
     wpath = witness_path(args.infile)
     wx = None
     if wpath.exists():

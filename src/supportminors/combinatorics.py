@@ -27,22 +27,6 @@ def subset_rank(J: tuple[int, ...]) -> int:
     return r
 
 
-def subset_unrank(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """The k-subset of {0..n-1} with the given colex rank."""
-    if not 0 <= rank < comb(n, k):
-        raise ValueError(f"rank {rank} out of range for C({n},{k})")
-    out = [0] * k
-    r = rank
-    for t in range(k, 0, -1):
-        # Largest j with C(j, t) <= r; elements are filled from the top down.
-        j = t - 1
-        while comb(j + 1, t) <= r:
-            j += 1
-        out[t - 1] = j
-        r -= comb(j, t)
-    return tuple(out)
-
-
 def subsets_colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All k-subsets of {0..n-1} in colex order."""
     if k == 0:

@@ -42,9 +42,11 @@ class MinRankInstance:
             raise ValueError("m, n, K, r must be positive")
         if self.r > self.n:
             raise ValueError(f"target rank r={self.r} exceeds n={self.n}")
-        stack = np.asarray(self.matrices, dtype=np.int64) % self.field.q
+        stack = np.array(self.matrices, dtype=np.int64)  # a copy: the caller's array stays theirs
         if stack.shape != (self.K, self.m, self.n):
             raise ValueError(f"matrices of shape {stack.shape} != ({self.K}, {self.m}, {self.n})")
+        if stack.min() < 0 or stack.max() >= self.field.q:
+            stack %= self.field.q
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "matrices", tuple(stack))

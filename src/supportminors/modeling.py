@@ -23,12 +23,11 @@ from math import comb
 import numpy as np
 
 from . import estimator
-from .combinatorics import (
-    drop_ranks, monomial_mul, monomial_rank, monomials_colex, subset_rank, subset_unrank,
-    subsets_colex,
-)
+from .combinatorics import drop_ranks, monomial_mul, monomial_rank, monomials_colex, subsets_colex
 from .instance import MinRankInstance
-from .linalg import SparseMatrix, check_cell_cap, rank as matrix_rank
+from .linalg import (
+    SparseMatrix, check_cell_cap, mat_mul, rank as matrix_rank, right_kernel_basis, rref,
+)
 
 MATRIX_CELL_CAP = 50_000_000
 
@@ -39,7 +38,7 @@ class BilinearSystem:
 
     `coef[e, t, ell]` is the coefficient of x_ell * c_{J \\ {j_t}} in
     equation e, and `plk[colex(J), t]` the colex rank of J \\ {j_t}; both
-    arrays are read-only.  Equation e has the label (row, J) with
+    arrays are read-only.  Equation (row, J) sits at
     e = row * C(n, r+1) + colex(J).
     """
 
@@ -51,16 +50,6 @@ class BilinearSystem:
 
     def __len__(self) -> int:
         return len(self.coef)
-
-    def index(self, row: int, cols: tuple[int, ...]) -> int:
-        """Position of equation (row, cols); ValueError if it is not in the system."""
-        if not 0 <= row < self.m or len(cols) != self.r + 1 or not 0 <= cols[0] <= cols[-1] < self.n:
-            raise ValueError(f"equation ({row}, {cols}) is not in the system")
-        return row * len(self.plk) + subset_rank(cols)
-
-    def label(self, e: int) -> tuple[int, tuple[int, ...]]:
-        row, s = divmod(e, len(self.plk))
-        return row, subset_unrank(s, self.n, self.r + 1)
 
 
 def build_equations(inst: MinRankInstance) -> BilinearSystem:
@@ -127,6 +116,56 @@ def macaulay(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> Macau
     return MacaulayMatrix(b, K, eqs, data)
 
 
+def lifted_kernel(
+    inst: MinRankInstance, cap: int = MATRIX_CELL_CAP, *, basis: bool = False
+) -> tuple[int, int, int, np.ndarray | None]:
+    """(rows, cols, rank, kernel basis or None) of the degree-2 Macaulay
+    matrix, which is never assembled: rows and cols are its nominal
+    dimensions.  The cap applies to its nominal cell count, then to G's.
+
+    Row (x_a, e) of Mac_2 is row e of Mac_1 with each x_ell column block
+    moved to x_a x_ell, so u is in ker Mac_2 exactly when every slice
+    W_a[ell, T] = u(x_a x_ell, T) lies in ker Mac_1 and W_a[ell] = W_ell[a].
+    With B a basis of ker Mac_1 (dimension d1) and W_a = sum_i Y[a, i] B_i,
+    the symmetry is G y = 0 for the C(K, 2) C(n, r) x K d1 matrix G holding
+    +B_i[ell, T] at column (a, i) and -B_i[a, T] at column (ell, i) in row
+    (a < ell, T); so dim ker Mac_2 = dim ker G, and the lift of a basis of
+    ker G spans ker Mac_2.  The free columns of Mac_2 (its non-pivots) are
+    the pivots a right-to-left elimination finds in any kernel basis, and
+    on them the basis `right_kernel_basis` returns is the identity: so it
+    is the RREF of the lifted basis with its columns reversed, columns and
+    rows then reversed back.
+
+    With E = m C(n, r+1) equations, G has (K-1) d1 / ((K+1) E) times the
+    cells of Mac_2: fewer when the b = 1 kernel is small next to E, more
+    when the b = 1 system is far underdetermined.
+    """
+    K, f, q = inst.K, inst.field, inst.field.q
+    rows, cols = estimator.macaulay_dims(estimator.ParameterSet(inst.m, inst.n, K, inst.r), 2)
+    check_cell_cap(rows, cols, cap)
+    B = np.array(right_kernel_basis(f, macaulay(inst, 1, cap=cap).data.to_dense()), dtype=np.int64)
+    P, d1 = comb(inst.n, inst.r), len(B)
+    B = B.reshape(d1, K, P)
+    pairs = np.array(list(subsets_colex(K, 2)), dtype=np.int64).reshape(-1, 2)
+    check_cell_cap(len(pairs) * P, K * d1, cap)
+    a, ell, at = pairs[:, 0], pairs[:, 1], np.arange(len(pairs))
+    G = np.zeros((len(pairs), P, K, d1), dtype=np.int64)
+    G[at, :, a, :] = B[:, ell, :].transpose(1, 2, 0)
+    G[at, :, ell, :] = (q - B[:, a, :]).transpose(1, 2, 0) % q
+    G = G.reshape(len(pairs) * P, K * d1)
+    if not basis:
+        return rows, cols, cols - K * d1 + matrix_rank(f, G), None
+    Z = right_kernel_basis(f, G)
+    d2 = len(Z)
+    Y = np.array(Z, dtype=np.int64).reshape(d2 * K, d1)
+    # W[z, a, ell, T] = sum_i Y_z[a, i] B_i[ell, T]; u(x_a x_ell, T) = W[z, a, ell, T] for a <= ell.
+    W = mat_mul(f, Y, B.reshape(d1, K * P)).reshape(d2, K, K, P)
+    mono = np.array(list(monomials_colex(K, 2)), dtype=np.int64)
+    lifted = W[:, mono[:, 0], mono[:, 1]].reshape(d2, cols)
+    R = rref(f, lifted[:, ::-1])[1]
+    return rows, cols, cols - d2, np.ascontiguousarray(R[::-1, ::-1])
+
+
 @dataclass(frozen=True)
 class RankCheckReport:
     b: int
@@ -149,14 +188,15 @@ def rank_check(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> Ran
     p = estimator.ParameterSet(inst.m, inst.n, inst.K, inst.r)
     if b == 1:
         predicted, precondition = estimator.eqs_b1(p), True
+        mac = macaulay(inst, 1, cap=cap)
+        rows, cols, observed = mac.n_rows, mac.n_cols, matrix_rank(inst.field, mac.data)
     else:
         predicted, precondition = estimator.eqs_b2(p)
-    mac = macaulay(inst, b, cap=cap)
-    observed = matrix_rank(inst.field, mac.data)
+        rows, cols, observed, _ = lifted_kernel(inst, cap)
     return RankCheckReport(
         b=b,
-        rows=mac.n_rows,
-        cols=mac.n_cols,
+        rows=rows,
+        cols=cols,
         observed_rank=observed,
         predicted=predicted,
         precondition_met=precondition,

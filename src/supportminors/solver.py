@@ -10,6 +10,10 @@ inverts that structure:
 * b = 2: the monomial factor fills a symmetric K x K matrix proportional
   to x x^T, and any nonzero column of it is proportional to x.
 
+The b = 2 kernel is lifted from the b = 1 kernel (`modeling.lifted_kernel`)
+without assembling the degree-2 matrix; diagnostics report its nominal
+dimensions.
+
 Rank one is tested without elimination: every 2x2 minor through the first
 nonzero entry must vanish mod q, which is exact in int64.
 
@@ -41,7 +45,7 @@ from .instance import (
 )
 # `rref` has no caller here; perfbench/layers.py EXPECTED requires the binding.
 from .linalg import rank as matrix_rank, right_kernel_basis, rref  # noqa: F401
-from .modeling import MATRIX_CELL_CAP, macaulay
+from .modeling import MATRIX_CELL_CAP, lifted_kernel, macaulay
 
 EXTRACTION_CAP = 8       # max kernel dimension the solver will sweep
 COMBO_CAP = 20_000       # max projective kernel combinations to enumerate
@@ -186,14 +190,17 @@ def solve_linearization(
             raise ValueError(f"{T} is not an r-subset of the column set")
         fixed_col = subset_rank(T)
     f = inst.field
-    mac = macaulay(inst, b, cap=matrix_cap)
-    kernel = right_kernel_basis(f, mac.data.to_dense())
+    if b == 1:
+        mac = macaulay(inst, 1, cap=matrix_cap)
+        kernel = right_kernel_basis(f, mac.data.to_dense())
+        rows, cols, rk = mac.n_rows, mac.n_cols, mac.n_cols - len(kernel)
+    else:
+        rows, cols, rk, kernel = lifted_kernel(inst, matrix_cap, basis=True)
     d = len(kernel)
-    rk = mac.n_cols - d
 
     def diag(method, complete, notes=()):
         return SolveDiagnostics(
-            rows=mac.n_rows, cols=mac.n_cols, rank=rk, kernel_dim=d,
+            rows=rows, cols=cols, rank=rk, kernel_dim=d,
             method=method, complete=complete,
             fixed_plucker=fix_pluecker, notes=tuple(notes),
         )

@@ -12,7 +12,7 @@ generic pencil entry y_{h,j}:
   sum_t (-1)^t [ y_{h1, j_t} eq(h2, J+ \\ {j_t}) + y_{h2, j_t} eq(h1, J+ \\ {j_t}) ] = 0.
 
 A family holds three read-only (F, E) int64 arrays, E = 2(r+2) entries per
-member: the equation index `eq` (as `BilinearSystem.index` numbers it), the
+member: the equation index `eq` = row * C(n, r+1) + colex(J), the
 y-variable `var` = k*n + j and `sign` in {-1, 0, +1}; S'1 members pad their
 second half with sign 0.  Members run over rows, then colex J+; entries over
 rows, then colex order of their equations' column sets.  `specialize`
@@ -33,7 +33,7 @@ from .estimator import sprime_count
 from .field import PrimeField
 from .instance import MinRankInstance
 from .linalg import rank as matrix_rank
-from .modeling import BilinearSystem, MacaulayMatrix, MATRIX_CELL_CAP, macaulay
+from .modeling import BilinearSystem, MacaulayMatrix, MATRIX_CELL_CAP, lifted_kernel, macaulay
 
 
 class _Members:
@@ -181,10 +181,14 @@ def xonly_syzygy_dim(inst: MinRankInstance, d: int, cap: int = MATRIX_CELL_CAP) 
     """Dimension of the syzygies whose entries are x-only forms of degree d.
 
     Computed as the left-kernel dimension of the Macaulay matrix whose rows
-    are (degree-d monomial) * equation, i.e. the matrix at x-degree d + 1.
+    are (degree-d monomial) * equation, i.e. the matrix at x-degree d + 1;
+    at d = 1 its rank comes from `lifted_kernel`.
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
+    if d == 1:
+        rows, _, rank, _ = lifted_kernel(inst, cap)
+        return rows - rank
     mac = macaulay(inst, d + 1, cap=cap)
     return mac.n_rows - matrix_rank(inst.field, mac.data)
 

@@ -7,7 +7,7 @@ quarter round at a time on Python ints, so the two sides of every
 comparison share no code path.  The syzygy references enumerate the
 families from their definitions with itertools, and expand every
 entry x term product into a dict keyed by (monomial, Plucker subset); they
-read one member's equation labels through `BilinearSystem.label`.
+read one member's equation labels through `eq_label`.
 The `minrank v1` references format one row template per matrix row and
 parse each row with a regex and one int() per entry.
 """
@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from math import comb
 
 import numpy as np
 
+from supportminors.combinatorics import subset_rank
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance
 from supportminors.linalg import SparseMatrix
@@ -155,6 +157,36 @@ class RefStream:
 def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets sorted by reversed-tuple comparison (= colex)."""
     return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+
+
+def subset_unrank(rank: int, n: int, k: int) -> tuple[int, ...]:
+    """The k-subset of {0..n-1} with the given colex rank."""
+    if not 0 <= rank < comb(n, k):
+        raise ValueError(f"rank {rank} out of range for C({n},{k})")
+    out = [0] * k
+    r = rank
+    for t in range(k, 0, -1):
+        # Largest j with C(j, t) <= r; elements are filled from the top down.
+        j = t - 1
+        while comb(j + 1, t) <= r:
+            j += 1
+        out[t - 1] = j
+        r -= comb(j, t)
+    return tuple(out)
+
+
+def eq_index(eqs, row: int, cols: tuple[int, ...]) -> int:
+    """Position of equation (row, cols) in a `BilinearSystem`; ValueError if
+    it is not in the system."""
+    if not 0 <= row < eqs.m or len(cols) != eqs.r + 1 or not 0 <= cols[0] <= cols[-1] < eqs.n:
+        raise ValueError(f"equation ({row}, {cols}) is not in the system")
+    return row * len(eqs.plk) + subset_rank(cols)
+
+
+def eq_label(eqs, e: int) -> tuple[int, tuple[int, ...]]:
+    """The (row, column subset) label of equation e of a `BilinearSystem`."""
+    row, s = divmod(e, len(eqs.plk))
+    return row, subset_unrank(s, eqs.n, eqs.r + 1)
 
 
 def colex_monomials(K: int, d: int) -> list[tuple[int, ...]]:
@@ -360,7 +392,7 @@ def ref_specialize(fam, i: int, inst, eqs) -> list:
             value = c * int(inst.matrices[ell][k, j]) % q
             if value:
                 acc[ell] = value
-        out.append((eqs.label(e), acc))
+        out.append((eq_label(eqs, e), acc))
     return out
 
 
@@ -379,7 +411,7 @@ def ref_annihilates(inst, eqs, spec, i: int) -> bool:
     q = inst.field.q
     acc: dict = {}
     for e, form in zip(spec.eq[i].tolist(), spec.forms[i].tolist()):
-        terms = ref_equation_terms(inst, *eqs.label(e))
+        terms = ref_equation_terms(inst, *eq_label(eqs, e))
         for a, ca in enumerate(form):
             for ell, T, ce in terms:
                 k = ((min(a, ell), max(a, ell)), T)

@@ -51,6 +51,9 @@ def test_criterion_2_b2_rank_formula():
         slow = max(slow, time.time() - t0)
         if rep.observed_rank != 36 or rep.predicted != 36 or not rep.precondition_met:
             failures.append((seed, rep.observed_rank))
+        # An independent witness: eliminate the assembled matrix itself.
+        if matrix_rank(FBIG, macaulay(inst, 2).data) != 36:
+            failures.append((seed, "direct"))
     ok = not failures and slow < 1.0
     _finish("2 b2-rank-formula", ok, f" (50 seeds, max {slow:.3f}s/seed)")
 
@@ -86,8 +89,9 @@ def test_criterion_4_linear_syzygy_dimension():
         mac = macaulay(inst, 2)
         vecs = sm.syzygy_row_vector(sm.specialize(sm.enumerate_sprime(4, 4, 2), inst), mac)
         span = matrix_rank(FBIG, vecs)
-        if dim != expected or len(vecs) != expected or span != expected:
-            failures.append((seed, dim, span))
+        direct = mac.n_rows - matrix_rank(FBIG, mac.data)  # eliminates the assembled matrix
+        if dim != expected or direct != expected or len(vecs) != expected or span != expected:
+            failures.append((seed, dim, direct, span))
     _finish("4 linear-syzygy-dimension", not failures,
             f" (20 seeds, dim = spanned rank = {expected})")
 

@@ -129,6 +129,17 @@ def test_solve_fix_pluecker_flag(tmp_path, capsys):
     assert kv(out)["fixed_plucker"] == "0,1"
 
 
+@pytest.mark.parametrize("value", ["a,b", "1,,2"])
+def test_solve_fix_pluecker_not_integers_is_a_usage_error(tmp_path, capsys, value):
+    path = tmp_path / "p.mr"
+    assert run(capsys, "gen", "--q", "31", "--m", "4", "--n", "4", "--K", "2",
+               "--r", "2", "--seed", "6", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "solve", "--in", str(path), "--fix-pluecker", value)
+    assert code == 1 and out == ""
+    assert err == ("usage error: --fix-pluecker expects comma-separated column indices, "
+                   f"got '{value}'\n")
+
+
 def test_check_match_and_assert(tmp_path, capsys):
     args = ["check", "--q", "32003", "--m", "4", "--n", "4", "--K", "3", "--r", "2",
             "--seed", "4", "--b", "1", "--machine"]
@@ -238,6 +249,31 @@ def test_matrix_cap_exit_2(tmp_path, capsys):
                        "--cap-matrix", "10")
     assert code == 2
     assert "refused" in err
+
+
+@pytest.mark.parametrize("gen, refusals, ok_cap, dims", [
+    # The b = 2 matrix is 320 x 150 = 48000 cells; the cap applies to that
+    # count although the matrix itself is never assembled.
+    (("7", "4", "6", "4", "2"), [("47999", "320 x 150 = 48000")], "48000", ("320", "150")),
+    # An underdetermined b = 1 system (kernel dimension 9 of 12 columns):
+    # the lift's own 18 x 36 matrix has more cells than the nominal 12 x 30
+    # b = 2 matrix, and the cap applies to it as well.
+    (("32003", "1", "3", "4", "1"), [("360", "18 x 36 = 648"), ("647", "18 x 36 = 648")],
+     "648", ("12", "30")),
+])
+def test_matrix_cap_counts_b2_cells(tmp_path, capsys, gen, refusals, ok_cap, dims):
+    path = tmp_path / "inst.mr"
+    q, m, n, K, r = gen
+    assert run(capsys, "gen", "--q", q, "--m", m, "--n", n, "--K", K, "--r", r,
+               "--seed", "0", "--out", str(path))[0] == 0
+    for command in ("solve", "check"):
+        for cap, cells in refusals:
+            code, _, err = run(capsys, command, "--in", str(path), "--b", "2",
+                               "--cap-matrix", cap)
+            assert (code, err) == (2, f"refused: matrix of {cells} cells exceeds cap {cap}\n")
+        code, out, err = run(capsys, command, "--in", str(path), "--b", "2",
+                             "--cap-matrix", ok_cap, "--machine")
+        assert (code, err, kv(out)["rows"], kv(out)["cols"]) == (0, "") + dims
 
 
 def test_check_b2_reads_syzygy_dim_off_its_rank(capsys, monkeypatch):

@@ -8,11 +8,10 @@ from supportminors.combinatorics import (
     monomial_rank,
     monomials_colex,
     subset_rank,
-    subset_unrank,
     subsets_colex,
 )
 
-from oracle import colex_monomials, colex_subsets
+from oracle import colex_monomials, colex_subsets, subset_unrank
 
 
 def test_colex_table_n4_k2():

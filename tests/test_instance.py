@@ -77,6 +77,19 @@ def test_instance_matrices_immutable():
         inst.matrices[0][0, 0] = 1
 
 
+def test_instance_copies_and_reduces_only_out_of_range_entries():
+    data = np.array([[[0, 6], [3, 1]]], dtype=np.int64)
+    inst = MinRankInstance(F7, 2, 2, 1, 1, data)
+    assert data.flags.writeable and not np.shares_memory(inst.stack, data)
+    data[0, 0, 0] = 5  # the caller's array is still theirs to write
+    assert inst.stack.tolist() == [[[0, 6], [3, 1]]]
+    for entries, want in [([[[-1, 7], [3, 1]]], [[[6, 0], [3, 1]]]),
+                          ([[[0, 6], [3, 15]]], [[[0, 6], [3, 1]]])]:
+        data = np.array(entries, dtype=np.int64)
+        inst = MinRankInstance(F7, 2, 2, 1, 1, data)
+        assert inst.stack.tolist() == want and data.tolist() == entries
+
+
 def test_gen_random_deterministic():
     a = gen_random(FBIG, 4, 5, 3, seed=99)
     b = gen_random(FBIG, 4, 5, 3, seed=99)

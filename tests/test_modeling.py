@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from supportminors.combinatorics import subset_unrank, subsets_colex
+from supportminors.combinatorics import subsets_colex
 from supportminors.errors import CapExceededError
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance, evaluate_pencil, gen_planted, gen_random
@@ -12,8 +12,8 @@ from supportminors.linalg import rank
 from supportminors.modeling import build_equations, macaulay, rank_check
 
 from oracle import (
-    Poly, colex_monomials, colex_subsets, evaluation_vector, extend_to_rank, mat_vec,
-    plucker_vector, poly_det,
+    Poly, colex_monomials, colex_subsets, eq_index, eq_label, evaluation_vector, extend_to_rank,
+    mat_vec, plucker_vector, poly_det, subset_unrank,
 )
 
 F5 = PrimeField(5)
@@ -32,7 +32,7 @@ def _terms(eqs, e):
 def test_hand_expanded_single_equation():
     inst = MinRankInstance(F5, 1, 2, 1, 1, (np.array([[1, 2]]),))
     eqs = build_equations(inst)
-    assert len(eqs) == 1 and eqs.label(0) == (0, (0, 1))
+    assert len(eqs) == 1 and eq_label(eqs, 0) == (0, (0, 1))
     # minor of [[x, 2x], [c0, c1]] on both columns: 1*x*c1 - 2*x*c0, -2 = 3 mod 5
     assert eqs.coef.tolist() == [[[1], [3]]] and eqs.plk.tolist() == [[1, 0]]
     assert _terms(eqs, 0) == {(0, (1,), 1), (0, (0,), 3)}
@@ -43,10 +43,10 @@ def test_equation_count_and_order():
     eqs = build_equations(inst)
     assert len(eqs) == 3 * comb(5, 3)
     assert eqs.coef.shape == (len(eqs), 3, 2) and eqs.plk.shape == (comb(5, 3), 3)
-    labels = [eqs.label(e) for e in range(len(eqs))]
+    labels = [eq_label(eqs, e) for e in range(len(eqs))]
     expected = [(i, J) for i in range(3) for J in subsets_colex(5, 3)]
     assert labels == expected
-    assert [eqs.index(i, J) for i, J in expected] == list(range(len(eqs)))
+    assert [eq_index(eqs, i, J) for i, J in expected] == list(range(len(eqs)))
 
 
 def test_system_index_rejects_foreign_labels():
@@ -54,7 +54,7 @@ def test_system_index_rejects_foreign_labels():
     for row, cols in [(3, (0, 1, 2)), (-1, (0, 1, 2)), (0, (0, 1)), (0, (0, 1, 2, 3)),
                       (0, (2, 1, 0)), (0, (1, 1, 2)), (0, (0, 1, 5)), (0, (-1, 0, 1))]:
         with pytest.raises(ValueError):
-            eqs.index(row, cols)
+            eq_index(eqs, row, cols)
 
 
 def test_equation_terms_structure():
@@ -62,7 +62,7 @@ def test_equation_terms_structure():
     eqs = build_equations(inst)
     assert not eqs.coef.flags.writeable and not eqs.plk.flags.writeable
     for e in range(len(eqs)):
-        row, cols = eqs.label(e)
+        row, cols = eq_label(eqs, e)
         for ell, T, c in _terms(eqs, e):
             assert c != 0
             assert len(T) == 2
@@ -82,7 +82,7 @@ def _symbolic_equation_check(inst):
     r = inst.r
     eqs = build_equations(inst)
     for e in range(len(eqs)):
-        row, cols = eqs.label(e)
+        row, cols = eq_label(eqs, e)
         stacked = []
         top = []
         for j in cols:

@@ -173,6 +173,17 @@ def test_solve_b2_recovers_planted_witness():
             assert s.achieved_rank <= 2
 
 
+def test_b2_recovers_witness_that_b1_cannot():
+    # (m, n, r, K) = (6, 7, 2, 12): the b = 1 kernel has dimension 42, far past
+    # the extraction cap, and the 2520 x 1638 Mac_2 has a one-dimensional kernel.
+    inst, x = gen_planted(FBIG, 6, 7, 12, 2, seed=0)
+    sols, diag = solve_linearization(inst, 1)
+    assert normalize_projective(FBIG, x) not in {s.x for s in sols} and not diag.complete
+    sols, diag = solve_linearization(inst, 2)
+    assert (diag.rows, diag.cols, diag.kernel_dim, diag.complete) == (2520, 1638, 1, True)
+    assert [s.x for s in sols] == [normalize_projective(FBIG, x)]
+
+
 def test_solve_rejects_bad_degree():
     inst = gen_random(F7, 3, 4, 2, seed=0, r=1)
     with pytest.raises(ValueError):
@@ -301,6 +312,7 @@ def test_fix_pluecker_rejected_before_elimination(monkeypatch, T):
         raise AssertionError("macaulay built before fix_pluecker was checked")
 
     monkeypatch.setattr(solver, "macaulay", refuse)
+    monkeypatch.setattr(solver, "lifted_kernel", refuse)
     with pytest.raises(ValueError) as err:
         solve_linearization(inst, 2, fix_pluecker=T)
     assert str(err.value) == f"{T} is not an r-subset of the column set"

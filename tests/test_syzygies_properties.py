@@ -28,7 +28,7 @@ from supportminors.syzygies import (
     specialize,
 )
 
-from oracle import ref_annihilates, ref_equation_terms, ref_specialize
+from oracle import eq_index, eq_label, ref_annihilates, ref_equation_terms, ref_specialize
 
 QS = (2, 3, 7, 32003, 2**31 - 1)
 SHAPES = [(n, r) for n in (3, 4, 5) for r in sorted({1, n - 2})]  # (n, r)
@@ -44,7 +44,7 @@ def _instance(q, m, n, K, r, density, rnd):
 
 
 def _entries(spec, i, eqs):
-    return [(eqs.label(e), {a: c for a, c in enumerate(row) if c})
+    return [(eq_label(eqs, e), {a: c for a, c in enumerate(row) if c})
             for e, row in zip(spec.eq[i].tolist(), spec.forms[i].tolist())]
 
 
@@ -58,7 +58,7 @@ def _perturb(inst, eqs, spec, kind, rnd):
     f * (eq' - eq), nonzero whenever eq' != eq as polynomials.
     """
     q, (F, E, K) = inst.field.q, spec.forms.shape
-    poly = [sorted(ref_equation_terms(inst, *eqs.label(e))) for e in range(len(eqs))]
+    poly = [sorted(ref_equation_terms(inst, *eq_label(eqs, e))) for e in range(len(eqs))]
     eq, forms = spec.eq.copy(), spec.forms.copy()
     i = rnd.randrange(F)
     if kind == "move":
@@ -123,7 +123,7 @@ def test_square_monomial_alone_fails_at_q2():
     M1 = np.array([[1, 0], [1, 0]], dtype=np.int64)
     inst = MinRankInstance(f, 2, 2, 2, 1, (M0, M1))
     eqs = build_equations(inst)
-    s = SpecializedFamily(2, 2, 1, np.array([[eqs.index(0, (0, 1)), eqs.index(1, (0, 1))]]),
+    s = SpecializedFamily(2, 2, 1, np.array([[eq_index(eqs, 0, (0, 1)), eq_index(eqs, 1, (0, 1))]]),
                           np.array([[[1, 0], [0, 1]]]))
     assert not ref_annihilates(inst, eqs, s, 0)
     assert not check_annihilation(f, s, eqs)
