@@ -236,6 +236,8 @@ def _instance_for_check(args):
 
 
 def cmd_check(args) -> int:
+    if args.b < 1:
+        raise UsageError(f"--b must be at least 1, got {args.b}")
     inst = _instance_for_check(args)
     out = _Out(args.machine)
     out.data("command", "check")

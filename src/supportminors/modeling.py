@@ -116,12 +116,15 @@ def macaulay(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> Macau
     return MacaulayMatrix(b, K, eqs, data)
 
 
-def lifted_kernel(
-    inst: MinRankInstance, cap: int = MATRIX_CELL_CAP, *, basis: bool = False
+def macaulay_kernel(
+    inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP, *, basis: bool = False
 ) -> tuple[int, int, int, np.ndarray | None]:
-    """(rows, cols, rank, kernel basis or None) of the degree-2 Macaulay
-    matrix, which is never assembled: rows and cols are its nominal
-    dimensions.  The cap applies to its nominal cell count, then to G's.
+    """(rows, cols, rank, kernel basis or None) of the degree-b Macaulay
+    matrix; the basis is a (dim ker, cols) int64 array, bit-identical to
+    `right_kernel_basis` of the assembled matrix.  Every b but 2 assembles
+    the matrix and eliminates it, forward only without `basis`.  Mac_2 is
+    never assembled: rows and cols are its nominal dimensions, and the cap
+    applies to its nominal cell count, then to Mac_1's and G's.
 
     Row (x_a, e) of Mac_2 is row e of Mac_1 with each x_ell column block
     moved to x_a x_ell, so u is in ker Mac_2 exactly when every slice
@@ -141,9 +144,16 @@ def lifted_kernel(
     when the b = 1 system is far underdetermined.
     """
     K, f, q = inst.K, inst.field, inst.field.q
+    if b != 2:
+        mac = macaulay(inst, b, cap=cap)
+        rows, cols = mac.n_rows, mac.n_cols
+        if not basis:
+            return rows, cols, matrix_rank(f, mac.data), None
+        Z = right_kernel_basis(f, mac.data.to_dense())
+        return rows, cols, cols - len(Z), np.array(Z, dtype=np.int64).reshape(len(Z), cols)
     rows, cols = estimator.macaulay_dims(estimator.ParameterSet(inst.m, inst.n, K, inst.r), 2)
     check_cell_cap(rows, cols, cap)
-    B = np.array(right_kernel_basis(f, macaulay(inst, 1, cap=cap).data.to_dense()), dtype=np.int64)
+    B = macaulay_kernel(inst, 1, cap, basis=True)[3]
     P, d1 = comb(inst.n, inst.r), len(B)
     B = B.reshape(d1, K, P)
     pairs = np.array(list(subsets_colex(K, 2)), dtype=np.int64).reshape(-1, 2)
@@ -186,19 +196,6 @@ def rank_check(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> Ran
     if b not in (1, 2):
         raise ValueError(f"rank predictions exist only for b in {{1, 2}}, got {b}")
     p = estimator.ParameterSet(inst.m, inst.n, inst.K, inst.r)
-    if b == 1:
-        predicted, precondition = estimator.eqs_b1(p), True
-        mac = macaulay(inst, 1, cap=cap)
-        rows, cols, observed = mac.n_rows, mac.n_cols, matrix_rank(inst.field, mac.data)
-    else:
-        predicted, precondition = estimator.eqs_b2(p)
-        rows, cols, observed, _ = lifted_kernel(inst, cap)
-    return RankCheckReport(
-        b=b,
-        rows=rows,
-        cols=cols,
-        observed_rank=observed,
-        predicted=predicted,
-        precondition_met=precondition,
-        match=observed == predicted,
-    )
+    predicted, precondition = (estimator.eqs_b1(p), True) if b == 1 else estimator.eqs_b2(p)
+    rows, cols, observed, _ = macaulay_kernel(inst, b, cap)
+    return RankCheckReport(b, rows, cols, observed, predicted, precondition, observed == predicted)

@@ -10,9 +10,8 @@ inverts that structure:
 * b = 2: the monomial factor fills a symmetric K x K matrix proportional
   to x x^T, and any nonzero column of it is proportional to x.
 
-The b = 2 kernel is lifted from the b = 1 kernel (`modeling.lifted_kernel`)
-without assembling the degree-2 matrix; diagnostics report its nominal
-dimensions.
+The kernel comes from `modeling.macaulay_kernel`; diagnostics report its
+matrix's nominal dimensions.
 
 Rank one is tested without elimination: every 2x2 minor through the first
 nonzero entry must vanish mod q, which is exact in int64.
@@ -26,7 +25,7 @@ brute-force oracle when the solution space itself is small enough to scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -43,9 +42,9 @@ from .instance import (
     normalize_projective,
     projective_point_count,
 )
-# `rref` has no caller here; perfbench/layers.py EXPECTED requires the binding.
+# perfbench/layers.py EXPECTED requires the unused `right_kernel_basis`, `rref`, `macaulay`.
 from .linalg import rank as matrix_rank, right_kernel_basis, rref  # noqa: F401
-from .modeling import MATRIX_CELL_CAP, lifted_kernel, macaulay
+from .modeling import MATRIX_CELL_CAP, macaulay, macaulay_kernel  # noqa: F401
 
 EXTRACTION_CAP = 8       # max kernel dimension the solver will sweep
 COMBO_CAP = 20_000       # max projective kernel combinations to enumerate
@@ -60,7 +59,7 @@ class SolveDiagnostics:
     method: str
     complete: bool
     fixed_plucker: tuple[int, ...] | None = None
-    notes: tuple[str, ...] = dc_field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def _sqrt_mod(a: int, q: int) -> int | None:
@@ -166,6 +165,71 @@ def _rank_one_pencil_points(
     return [M for M in members if _rank_one_column(M, field.q) is not None]
 
 
+def _extract(
+    field: PrimeField, kernel: np.ndarray, K: int, P: int, b: int, fixed_col: int | None
+) -> tuple[set[tuple[int, ...]], str, bool, str | None]:
+    """(candidates, method, complete, note): the normalized x of the
+    rank-one members found in the span of the (d, cols) kernel basis, each
+    row a (monomials x P) matrix.  `complete` says every rank-one member was
+    swept; `note` names the cap that stopped an incomplete sweep.
+    """
+    d, q = len(kernel), field.q
+    if d == 0:
+        return set(), "none", True, None
+    if d > EXTRACTION_CAP:
+        return set(), "none", False, f"kernel dimension {d} exceeds cap {EXTRACTION_CAP}"
+    reshaped = kernel.reshape(d, -1, P)
+    if b == 2:  # sym[a, c] = the row of x_a x_c, so col[sym] is symmetric and ~ x x^T
+        mono = np.array(list(monomials_colex(K, 2)))
+        sym = np.empty((K, K), dtype=np.int64)
+        sym[mono[:, 0], mono[:, 1]] = sym[mono[:, 1], mono[:, 0]] = np.arange(len(mono))
+    candidates: set[tuple[int, ...]] = set()
+
+    def try_vector(W) -> None:
+        col = W[:, fixed_col] if fixed_col is not None else _rank_one_column(W, q)
+        if col is not None and b == 2:
+            col = _rank_one_column(col[sym], q)
+        if col is not None and col.any():
+            candidates.add(normalize_projective(field, col.tolist()))
+
+    method, complete = "direct", d == 1
+    for W in reshaped:
+        try_vector(W)
+    if d == 2:
+        points = _rank_one_pencil_points(field, reshaped[0], reshaped[1])
+        if points is not None:
+            for W in points:
+                try_vector(W)
+            method, complete = "pencil", True
+    n_combos = projective_point_count(q, d)
+    if not complete and n_combos <= COMBO_CAP:
+        # Exact in int64: combos run only while q^(d-1) < COMBO_CAP, so
+        # each entry, a sum of d products below q^2, stays far below 2^63.
+        for coeffs in iter_projective(field, d):
+            try_vector(np.tensordot(coeffs, reshaped, axes=1) % q)
+        method, complete = "combo-enumeration", True
+    note = None if complete else f"{n_combos} kernel combinations exceed cap {COMBO_CAP}"
+    return candidates, method, complete, note
+
+
+def _validate(inst: MinRankInstance, b: int, fix_pluecker: tuple[int, ...] | None) -> int | None:
+    """Check b and `fix_pluecker`; the kernel column pinned to one, or None."""
+    if b not in (1, 2):
+        raise ValueError(f"the solver linearizes at b in {{1, 2}}, got {b}")
+    if fix_pluecker is None:
+        return None
+    T = tuple(fix_pluecker)
+    if len(T) != inst.r or list(T) != sorted(set(T)) or not 0 <= T[0] <= T[-1] < inst.n:
+        raise ValueError(f"{T} is not an r-subset of the column set")
+    return subset_rank(T)
+
+
+def _verify(inst: MinRankInstance, candidates: set[tuple[int, ...]]) -> list[SolutionCandidate]:
+    """The candidates whose pencil has rank in [1, r], in lexicographic order."""
+    ranks = {x: matrix_rank(inst.field, evaluate_pencil(inst, x)) for x in sorted(candidates)}
+    return [SolutionCandidate(x, k) for x, k in ranks.items() if 0 < k <= inst.r]
+
+
 def solve_linearization(
     inst: MinRankInstance,
     b: int,
@@ -174,86 +238,24 @@ def solve_linearization(
     matrix_cap: int = MATRIX_CELL_CAP,
     fix_pluecker: tuple[int, ...] | None = None,
 ) -> tuple[list[SolutionCandidate], SolveDiagnostics]:
-    """Kernel extraction at degree b in {1, 2}.
+    """Kernel extraction at degree b in {1, 2}: validate, take the Macaulay
+    kernel, extract its rank-one members, then verify them, or scan every
+    point instead when the sweep is incomplete and the scan fits `brute_cap`.
 
     Returns lexicographically sorted verified solutions plus diagnostics.
     `fix_pluecker` pins the Plucker coordinate that is normalized to one
     during extraction (solutions on which it vanishes are then invisible,
     matching the normalization's invertibility assumption).
     """
-    if b not in (1, 2):
-        raise ValueError(f"the solver linearizes at b in {{1, 2}}, got {b}")
-    fixed_col = None
-    if fix_pluecker is not None:
-        T = tuple(fix_pluecker)
-        if len(T) != inst.r or list(T) != sorted(set(T)) or not 0 <= T[0] <= T[-1] < inst.n:
-            raise ValueError(f"{T} is not an r-subset of the column set")
-        fixed_col = subset_rank(T)
-    f = inst.field
-    if b == 1:
-        mac = macaulay(inst, 1, cap=matrix_cap)
-        kernel = right_kernel_basis(f, mac.data.to_dense())
-        rows, cols, rk = mac.n_rows, mac.n_cols, mac.n_cols - len(kernel)
+    fixed_col = _validate(inst, b, fix_pluecker)
+    rows, cols, rank, kernel = macaulay_kernel(inst, b, matrix_cap, basis=True)
+    candidates, method, complete, note = _extract(
+        inst.field, kernel, inst.K, comb(inst.n, inst.r), b, fixed_col)
+    if not complete and projective_point_count(inst.field.q, inst.K) <= brute_cap:
+        solutions, method, complete = brute_force_solve(inst, cap=brute_cap), "brute-fallback", True
+        note = "kernel sweep infeasible; solutions from exhaustive scan"
     else:
-        rows, cols, rk, kernel = lifted_kernel(inst, matrix_cap, basis=True)
-    d = len(kernel)
-
-    def diag(method, complete, notes=()):
-        return SolveDiagnostics(
-            rows=rows, cols=cols, rank=rk, kernel_dim=d,
-            method=method, complete=complete,
-            fixed_plucker=fix_pluecker, notes=tuple(notes),
-        )
-
-    if d == 0:
-        return [], diag("none", True)
-    candidates: set[tuple[int, ...]] = set()
-    notes: list[str] = []
-    method, complete = "none", False
-    if d > EXTRACTION_CAP:
-        limit = f"kernel dimension {d} exceeds cap {EXTRACTION_CAP}"
-    else:
-        reshaped = np.array(kernel).reshape(d, -1, comb(inst.n, inst.r))
-        if b == 2:  # sym[a, c] = the row of x_a x_c, so col[sym] is symmetric and ~ x x^T
-            mono = np.array(list(monomials_colex(inst.K, 2)))
-            sym = np.empty((inst.K, inst.K), dtype=np.int64)
-            sym[mono[:, 0], mono[:, 1]] = sym[mono[:, 1], mono[:, 0]] = np.arange(len(mono))
-
-        def try_vector(W) -> None:
-            col = W[:, fixed_col] if fixed_col is not None else _rank_one_column(W, f.q)
-            if col is not None and b == 2:
-                col = _rank_one_column(col[sym], f.q)
-            if col is not None and col.any():
-                candidates.add(normalize_projective(f, col.tolist()))
-
-        method = "direct"
-        complete = d == 1
-        for W in reshaped:
-            try_vector(W)
-        if d == 2:
-            points = _rank_one_pencil_points(f, reshaped[0], reshaped[1])
-            if points is not None:
-                for W in points:
-                    try_vector(W)
-                method, complete = "pencil", True
-        n_combos = projective_point_count(f.q, d)
-        limit = f"{n_combos} kernel combinations exceed cap {COMBO_CAP}"
-        if not complete and n_combos <= COMBO_CAP:
-            # Exact in int64: combos run only while q^(d-1) < COMBO_CAP, so
-            # each entry, a sum of d products below q^2, stays far below 2^63.
-            for coeffs in iter_projective(f, d):
-                try_vector(np.tensordot(coeffs, reshaped, axes=1) % f.q)
-            method, complete = "combo-enumeration", True
-    if not complete:
-        if projective_point_count(f.q, inst.K) <= brute_cap:
-            sols = brute_force_solve(inst, cap=brute_cap)
-            notes.append("kernel sweep infeasible; solutions from exhaustive scan")
-            return sols, diag("brute-fallback", True, notes)
-        notes.append(limit)
-
-    solutions = []
-    for x in sorted(candidates):
-        achieved = matrix_rank(f, evaluate_pencil(inst, x))
-        if 0 < achieved <= inst.r:
-            solutions.append(SolutionCandidate(x, achieved))
-    return solutions, diag(method, complete, notes)
+        solutions = _verify(inst, candidates)
+    notes = (note,) if note else ()
+    return solutions, SolveDiagnostics(rows, cols, rank, len(kernel), method, complete,
+                                       fix_pluecker, notes)

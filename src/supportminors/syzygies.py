@@ -32,8 +32,10 @@ from .combinatorics import drop_ranks, subsets_colex
 from .estimator import sprime_count
 from .field import PrimeField
 from .instance import MinRankInstance
-from .linalg import rank as matrix_rank
-from .modeling import BilinearSystem, MacaulayMatrix, MATRIX_CELL_CAP, lifted_kernel, macaulay
+# perfbench/layers.py EXPECTED requires the unused `matrix_rank` and `macaulay`.
+from .linalg import rank as matrix_rank  # noqa: F401
+from .modeling import BilinearSystem, MacaulayMatrix, MATRIX_CELL_CAP, macaulay_kernel
+from .modeling import macaulay  # noqa: F401
 
 
 class _Members:
@@ -181,16 +183,12 @@ def xonly_syzygy_dim(inst: MinRankInstance, d: int, cap: int = MATRIX_CELL_CAP) 
     """Dimension of the syzygies whose entries are x-only forms of degree d.
 
     Computed as the left-kernel dimension of the Macaulay matrix whose rows
-    are (degree-d monomial) * equation, i.e. the matrix at x-degree d + 1;
-    at d = 1 its rank comes from `lifted_kernel`.
+    are (degree-d monomial) * equation, i.e. the matrix at x-degree d + 1.
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    if d == 1:
-        rows, _, rank, _ = lifted_kernel(inst, cap)
-        return rows - rank
-    mac = macaulay(inst, d + 1, cap=cap)
-    return mac.n_rows - matrix_rank(inst.field, mac.data)
+    rows, _, rank, _ = macaulay_kernel(inst, d + 1, cap)
+    return rows - rank
 
 
 def linear_syzygy_dim_prediction(m: int, n: int, r: int) -> int:

@@ -225,6 +225,14 @@ def test_usage_errors_exit_1(capsys):
                "--r", "1", "--out", "/tmp/x.mr")[0] == 1                # q not prime
 
 
+@pytest.mark.parametrize("b", ["0", "-1"])
+def test_check_b_below_1_is_a_usage_error(capsys, b):
+    code, out, err = run(capsys, "check", "--q", "7", "--m", "3", "--n", "3", "--K", "4",
+                         "--r", "2", "--b", b, "--machine")
+    assert (code, out) == (1, "")
+    assert err == f"usage error: --b must be at least 1, got {b}\n"
+
+
 def test_missing_flags_named_as_typed(capsys):
     code, out, err = run(capsys, "gen", "--q", "7")
     assert code == 1 and out == ""

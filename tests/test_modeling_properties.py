@@ -1,6 +1,7 @@
 """Property tests of the index-arithmetic Macaulay assembly against
-`oracle.ref_macaulay`, and of the lifted degree-2 kernel against direct
-elimination of the assembled matrix and `oracle.ref_rank`.
+`oracle.ref_macaulay`, and of `macaulay_kernel` (lifted at b = 2,
+eliminated at b = 1 and 3) against direct elimination of the assembled
+matrix and `oracle.ref_rank`.
 
 Fields span q in {2, 3, 7, 32003, 2**31 - 1}, degrees b in {1, 2, 3}, and
 shapes include r = n - 1, K = 1 and m = 1.  Pencil entries are drawn with
@@ -11,13 +12,14 @@ different numbers of terms and some may be empty.
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance, gen_planted
 from supportminors.linalg import right_kernel_basis
-from supportminors.modeling import lifted_kernel, macaulay
+from supportminors.modeling import macaulay, macaulay_kernel
 
 from oracle import ref_macaulay, ref_rank
 
@@ -85,19 +87,20 @@ def test_macaulay_matches_reference(case):
         assert all(values[lo:hi])
 
 
+@pytest.mark.parametrize("b", (1, 2, 3))
 @settings(max_examples=120, deadline=None)
 @given(lift_instances())
 @example(_random_instance(2**31 - 1, 4, 4, 2, 1, 1.0, 0))   # b = 1 kernel of dimension 0
 @example(_random_instance(2, 2, 4, 3, 2, 0.0, 0))           # every b = 1 column free
 @example(_random_instance(3, 3, 4, 1, 3, 1.0, 1))           # K = 1, r = n - 1
-def test_lifted_kernel_matches_direct_elimination(inst):
-    mac = macaulay(inst, 2)
+def test_macaulay_kernel_matches_direct_elimination(b, inst):
+    mac = macaulay(inst, b)
     dense = mac.data.to_dense()
     want = right_kernel_basis(inst.field, dense)
-    rows, cols, rank, basis = lifted_kernel(inst, basis=True)
+    rows, cols, rank, basis = macaulay_kernel(inst, b, basis=True)
     assert (rows, cols) == (mac.n_rows, mac.n_cols)
     assert basis.shape == (len(want), mac.n_cols) and basis.dtype == np.int64
     assert basis.tolist() == [v.tolist() for v in want]
-    assert lifted_kernel(inst) == (rows, cols, rank, None)
+    assert macaulay_kernel(inst, b) == (rows, cols, rank, None)
     assert rank == mac.n_cols - len(want)
     assert rank == ref_rank(dense.tolist(), inst.field.q)

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from supportminors import solver
+from supportminors.errors import CapExceededError
 from supportminors.field import PrimeField
 from supportminors.instance import (
     MinRankInstance,
@@ -309,10 +312,9 @@ def test_fix_pluecker_rejected_before_elimination(monkeypatch, T):
     inst, _ = gen_planted(F31, 4, 4, 3, 2, seed=7)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("macaulay built before fix_pluecker was checked")
+        raise AssertionError("kernel computed before fix_pluecker was checked")
 
-    monkeypatch.setattr(solver, "macaulay", refuse)
-    monkeypatch.setattr(solver, "lifted_kernel", refuse)
+    monkeypatch.setattr(solver, "macaulay_kernel", refuse)
     with pytest.raises(ValueError) as err:
         solve_linearization(inst, 2, fix_pluecker=T)
     assert str(err.value) == f"{T} is not an r-subset of the column set"
@@ -335,3 +337,69 @@ def test_solver_deterministic():
     b = solve_linearization(inst, 2)
     assert [s.x for s in a[0]] == [s.x for s in b[0]]
     assert a[1] == b[1]
+
+
+def _solve_grid():
+    """(instance, b, keywords) covering every extraction method, both kinds
+    of `none` (an empty kernel, and an incomplete sweep whose scan does not
+    fit `brute_cap`), b = 1 and 2, `fix_pluecker`, and every matrix-cap
+    refusal: Mac_1 at b = 1; Mac_2's nominal cells and then G's at b = 2."""
+    F2, F3 = PrimeField(2), PrimeField(3)
+    for f in (F2, F3, F7):
+        for seed in range(3):
+            small = gen_random(f, 2, 3, 2, seed=seed, r=1)
+            yield small, 1, {}
+            yield small, 2, {}
+            mats = tuple(rank_r_matrix(f, 4, 4, 1, seed=10 * seed + i) for i in range(3))
+            yield MinRankInstance(f, 4, 4, 3, 1, mats), 1, {}
+    for seed in range(2):
+        yield gen_planted(FBIG, 4, 4, 2, 2, seed=seed)[0], 1, {}
+        yield gen_planted(FBIG, 4, 4, 3, 2, seed=seed)[0], 2, {}
+        yield gen_random(FBIG, 3, 5, 4, seed=seed, r=1), 1, {}
+    mats = tuple(rank_r_matrix(F31, 4, 4, 2, seed=21 + i) for i in range(2))
+    yield MinRankInstance(F31, 4, 4, 2, 2, mats), 1, {}
+    mats = tuple(rank_r_matrix(F7, 4, 4, 2, seed=30 + i) for i in range(3))
+    three = MinRankInstance(F7, 4, 4, 3, 2, mats)
+    wide = MinRankInstance(F2, 3, 4, 3, 1, tuple(rank_r_matrix(F2, 3, 4, 1, seed=i) for i in range(3)))
+    zero = MinRankInstance(F7, 3, 3, 2, 1, (np.zeros((3, 3), dtype=np.int64),) * 2)
+    for inst in (three, wide, zero):
+        yield inst, 1, {}
+        yield inst, 2, {}
+    for cap in (6, 7):  # P^2(GF(2)) has 7 points
+        yield wide, 1, {"brute_cap": cap}
+    mats = tuple(rank_r_matrix(FBIG, 4, 4, 1, seed=40 + i) for i in range(3))
+    yield MinRankInstance(FBIG, 4, 4, 3, 1, mats), 1, {"brute_cap": 0}
+    planted = gen_planted(FBIG, 4, 4, 3, 2, seed=7)[0]
+    for T in ((0, 1), (1, 3)):
+        yield planted, 2, {"fix_pluecker": T}
+    yield gen_planted(F7, 4, 4, 3, 2, seed=0)[0], 1, {"fix_pluecker": (2, 3)}
+    # d1 = 9: Mac_2 is 12 x 30 = 360 cells nominally, G 18 x 36 = 648.
+    tiny = gen_random(FBIG, 1, 3, 4, seed=0, r=1)
+    for cap in (359, 360, 647, 648):
+        yield tiny, 2, {"matrix_cap": cap}
+    yield tiny, 1, {"matrix_cap": 35}
+
+
+# sha256 over the solutions and SolveDiagnostics (or refusal message) of
+# every `_solve_grid` case, frozen before the solver was split into stages.
+SOLVE_GRID_DIGEST = "8cfd1c28d96842832146a232db52b5eaf478f158ebd82d9f69d36c8120499fe5"
+
+
+def test_solve_grid_golden_digest():
+    h, methods, refusals = hashlib.sha256(), set(), 0
+    for inst, b, kw in _solve_grid():
+        try:
+            sols, diag = solve_linearization(inst, b, **kw)
+        except CapExceededError as err:
+            out, refusals = ("refused", str(err)), refusals + 1
+        else:
+            out = ([(tuple(map(int, s.x)), s.achieved_rank) for s in sols], astuple(diag))
+            methods.add((diag.method, diag.complete, diag.kernel_dim == 0))
+        h.update(repr(out).encode())
+    assert methods == {
+        ("direct", True, False), ("direct", False, False), ("pencil", True, False),
+        ("combo-enumeration", True, False), ("brute-fallback", True, False),
+        ("none", True, True), ("none", False, False),
+    }
+    assert refusals == 4
+    assert h.hexdigest() == SOLVE_GRID_DIGEST
