@@ -85,62 +85,31 @@ class _Out:
             print(text)
 
 
-@functools.cache  # built on the first `main` call, not at import, then reused
-def _build_parser() -> _Parser:
-    p = _Parser(prog="supportminors", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, *, params=False, io_in=False, io_out=False):
-        sp.add_argument("--machine", action="store_true", help="key=value output")
-        sp.add_argument("--assert", dest="assert_", action="store_true",
-                        help="exit 3 on any observed/predicted mismatch")
-        sp.add_argument("--cap-enum", type=int, default=BRUTE_FORCE_CAP, metavar="N")
-        sp.add_argument("--cap-matrix", type=int, default=MATRIX_CELL_CAP, metavar="N")
-        if params:
-            sp.add_argument("--q", type=int, default=32003)
-            sp.add_argument("--m", type=int)
-            sp.add_argument("--n", type=int)
-            sp.add_argument("--K", type=int)
-            sp.add_argument("--r", type=int)
-            sp.add_argument("--seed", type=int, default=0)
-        if io_in:
-            sp.add_argument("--in", dest="infile", metavar="FILE")
-        if io_out:
-            sp.add_argument("--out", dest="outfile", metavar="FILE")
-
-    g = sub.add_parser("gen", help="generate an instance file")
-    add_common(g, params=True, io_out=True)
-    g.add_argument("--planted", action="store_true",
-                   help="plant a witness; writes <out>.witness")
-    g.set_defaults(func=cmd_gen)
-
-    s = sub.add_parser("solve", help="linearization solve of an instance file")
-    add_common(s, io_in=True)
-    s.add_argument("--b", type=int, default=1)
-    s.add_argument("--fix-pluecker", metavar="T", default=None,
-                   help="comma-separated r-subset of columns normalized to 1")
-    s.set_defaults(func=cmd_solve)
-
-    c = sub.add_parser("check", help="observed vs predicted ranks and syzygy dims")
-    add_common(c, params=True, io_in=True)
-    c.add_argument("--b", type=int, default=1)
-    c.set_defaults(func=cmd_check)
-
-    e = sub.add_parser("estimate", help="closed-form counting and cost report")
-    add_common(e, params=True)
-    e.add_argument("--b", type=int, default=None,
-                   help="also report dimensions/cost at this extra degree")
-    e.set_defaults(func=cmd_estimate)
-
-    br = sub.add_parser("brute", help="exhaustive solution scan of an instance file")
-    add_common(br, io_in=True)
-    br.set_defaults(func=cmd_brute)
-    return p
+# Each flag's argparse arguments; `_COMMANDS` lists the ones each command reads.
+_FLAGS = {
+    "--q": dict(type=int, default=32003),
+    "--m": dict(type=int),
+    "--n": dict(type=int),
+    "--K": dict(type=int),
+    "--r": dict(type=int),
+    "--seed": dict(type=int, default=0),
+    "--b": dict(type=int, default=1, help="x-degree of the Macaulay matrix"),
+    "--planted": dict(action="store_true", help="plant a witness; writes <out>.witness"),
+    "--fix-pluecker": dict(metavar="T",
+                           help="comma-separated r-subset of columns normalized to 1"),
+    "--in": dict(dest="infile", metavar="FILE"),
+    "--out": dict(dest="outfile", metavar="FILE"),
+    "--machine": dict(action="store_true", help="key=value output"),
+    "--assert": dict(dest="assert_", action="store_true",
+                     help="exit 3 on any observed/predicted mismatch"),
+    "--cap-enum": dict(type=int, default=BRUTE_FORCE_CAP, metavar="N"),
+    "--cap-matrix": dict(type=int, default=MATRIX_CELL_CAP, metavar="N"),
+}
+_PARAMS = ("--q", "--m", "--n", "--K", "--r", "--seed")
 
 
 def _require(args, *names):
-    missing = [n for n in names if getattr(args, n, None) is None]
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = [{"outfile": "--out"}.get(n, f"--{n}") for n in missing]
         raise UsageError("missing required flag(s): " + ", ".join(flags))
@@ -175,9 +144,18 @@ def cmd_gen(args) -> int:
 
 
 def _load(args):
-    if not getattr(args, "infile", None):
+    if not args.infile:
         raise UsageError("missing required flag(s): --in")
     return load_instance(args.infile)
+
+
+def _print_solutions(out, sols, human=None, verified=False):
+    out.kv("solutions", len(sols), human=human)
+    for i, sol in enumerate(sols):
+        out.kv(f"solution_{i}", sol.x, human=f"  x = {sol.x} rank = {sol.achieved_rank}")
+        out.data(f"rank_{i}", sol.achieved_rank)
+        if verified:
+            out.data(f"verified_{i}", True)
 
 
 def cmd_solve(args) -> int:
@@ -211,13 +189,9 @@ def cmd_solve(args) -> int:
             f"{'' if diag.complete else ' (incomplete sweep)'}")
     if fix is not None:
         out.kv("fixed_plucker", fix, human=f"fixed Plucker coordinate: {fix}")
-    out.kv("solutions", len(sols),
-           human=f"{len(sols)} verified solution(s)" if sols
-           else f"no solution extracted at b={args.b}")
-    for i, sol in enumerate(sols):
-        out.kv(f"solution_{i}", sol.x, human=f"  x = {sol.x} rank = {sol.achieved_rank}")
-        out.data(f"rank_{i}", sol.achieved_rank)
-        out.data(f"verified_{i}", True)
+    _print_solutions(out, sols, verified=True,
+                     human=f"{len(sols)} verified solution(s)" if sols
+                     else f"no solution extracted at b={args.b}")
     if wx is not None:
         recovered = wx in {s.x for s in sols}
         out.kv("witness_recovered", recovered,
@@ -228,16 +202,20 @@ def cmd_solve(args) -> int:
 
 
 def _instance_for_check(args):
-    if getattr(args, "infile", None):
+    if args.infile:
         return load_instance(args.infile)
     _require(args, "m", "n", "K", "r")
     field = PrimeField(args.q)
     return gen_random(field, args.m, args.n, args.K, args.seed, r=args.r)
 
 
-def cmd_check(args) -> int:
+def _require_degree(args):
     if args.b < 1:
         raise UsageError(f"--b must be at least 1, got {args.b}")
+
+
+def cmd_check(args) -> int:
+    _require_degree(args)
     inst = _instance_for_check(args)
     out = _Out(args.machine)
     out.data("command", "check")
@@ -292,14 +270,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    _require_degree(args)
     _require(args, "m", "n", "K", "r")
     p = ParameterSet(args.m, args.n, args.K, args.r)
     out = _Out(args.machine)
     out.say(f"estimate m={p.m} n={p.n} K={p.K} r={p.r}")
-    extra = (args.b,) if args.b else ()
-    if args.machine:
-        print("command=estimate")
-    sys.stdout.write(format_report(complexity_report(p, extra_b=extra)))
+    out.data("command", "estimate")
+    sys.stdout.write(format_report(complexity_report(p, extra_b=(args.b,))))
     return 0
 
 
@@ -309,21 +286,40 @@ def cmd_brute(args) -> int:
     sols = brute_force_solve(inst, cap=args.cap_enum)
     out.data("command", "brute")
     out.say(f"brute force on {args.infile}")
-    out.kv("solutions", len(sols))
-    for i, sol in enumerate(sols):
-        out.kv(f"solution_{i}", sol.x, human=f"  x = {sol.x} rank = {sol.achieved_rank}")
-        out.data(f"rank_{i}", sol.achieved_rank)
+    _print_solutions(out, sols)
     return 0
 
 
+_COMMANDS = {
+    "gen": (cmd_gen, "generate an instance file",
+            _PARAMS + ("--planted", "--out", "--machine")),
+    "solve": (cmd_solve, "linearization solve of an instance file",
+              ("--in", "--b", "--fix-pluecker", "--machine", "--cap-enum", "--cap-matrix")),
+    "check": (cmd_check, "observed vs predicted ranks and syzygy dims",
+              _PARAMS + ("--in", "--b", "--machine", "--assert", "--cap-matrix")),
+    "estimate": (cmd_estimate, "closed-form counting and cost report",
+                 ("--m", "--n", "--K", "--r", "--b", "--machine")),
+    "brute": (cmd_brute, "exhaustive solution scan of an instance file",
+              ("--in", "--machine", "--cap-enum")),
+}
+
+
+@functools.cache  # built on the first `main` call, not at import, then reused
+def _build_parser() -> _Parser:
+    p = _Parser(prog="supportminors", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (func, summary, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
+    return p
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -288,10 +288,11 @@ def rank(field: PrimeField, M) -> int:
     return len(_echelon(field, M, reduced=False)[0])
 
 
-def right_kernel_basis(field: PrimeField, M) -> list[np.ndarray]:
-    """Basis of {v : M v = 0} in canonical free-variable form.
+def right_kernel_basis(field: PrimeField, M) -> np.ndarray:
+    """Basis of {v : M v = 0} in canonical free-variable form, as a
+    (dim ker, cols) int64 array.
 
-    One vector per non-pivot column f (in increasing column order): entry 1
+    One row per non-pivot column f (in increasing column order): entry 1
     at f, -R[i, f] at each pivot column, 0 elsewhere.
     """
     _, R, pivots = rref(field, M)
@@ -299,7 +300,7 @@ def right_kernel_basis(field: PrimeField, M) -> list[np.ndarray]:
     K = np.zeros((len(free), R.shape[1]), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
     K[:, pivots] = -R[: len(pivots), free].T % field.q
-    return list(K)
+    return K
 
 
 def mat_mul(field: PrimeField, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -150,7 +150,7 @@ def macaulay_kernel(
         if not basis:
             return rows, cols, matrix_rank(f, mac.data), None
         Z = right_kernel_basis(f, mac.data.to_dense())
-        return rows, cols, cols - len(Z), np.array(Z, dtype=np.int64).reshape(len(Z), cols)
+        return rows, cols, cols - len(Z), Z
     rows, cols = estimator.macaulay_dims(estimator.ParameterSet(inst.m, inst.n, K, inst.r), 2)
     check_cell_cap(rows, cols, cap)
     B = macaulay_kernel(inst, 1, cap, basis=True)[3]
@@ -165,11 +165,10 @@ def macaulay_kernel(
     G = G.reshape(len(pairs) * P, K * d1)
     if not basis:
         return rows, cols, cols - K * d1 + matrix_rank(f, G), None
-    Z = right_kernel_basis(f, G)
-    d2 = len(Z)
-    Y = np.array(Z, dtype=np.int64).reshape(d2 * K, d1)
+    Y = right_kernel_basis(f, G)
+    d2 = len(Y)
     # W[z, a, ell, T] = sum_i Y_z[a, i] B_i[ell, T]; u(x_a x_ell, T) = W[z, a, ell, T] for a <= ell.
-    W = mat_mul(f, Y, B.reshape(d1, K * P)).reshape(d2, K, K, P)
+    W = mat_mul(f, Y.reshape(d2 * K, d1), B.reshape(d1, K * P)).reshape(d2, K, K, P)
     mono = np.array(list(monomials_colex(K, 2)), dtype=np.int64)
     lifted = W[:, mono[:, 0], mono[:, 1]].reshape(d2, cols)
     R = rref(f, lifted[:, ::-1])[1]

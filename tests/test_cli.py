@@ -1,3 +1,7 @@
+import argparse
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,10 +229,10 @@ def test_usage_errors_exit_1(capsys):
                "--r", "1", "--out", "/tmp/x.mr")[0] == 1                # q not prime
 
 
-@pytest.mark.parametrize("b", ["0", "-1"])
-def test_check_b_below_1_is_a_usage_error(capsys, b):
-    code, out, err = run(capsys, "check", "--q", "7", "--m", "3", "--n", "3", "--K", "4",
-                         "--r", "2", "--b", b, "--machine")
+@pytest.mark.parametrize("command, b", [(c, b) for c in ("check", "estimate") for b in ("0", "-1")])
+def test_check_b_below_1_is_a_usage_error(capsys, command, b):
+    code, out, err = run(capsys, command, "--m", "3", "--n", "3", "--K", "4", "--r", "2",
+                         "--b", b, "--machine")
     assert (code, out) == (1, "")
     assert err == f"usage error: --b must be at least 1, got {b}\n"
 
@@ -342,3 +346,72 @@ def test_parser_built_once_gives_same_results(tmp_path, capsys, monkeypatch):
     assert [r[0] for r in once] == [1, 0, 0, 1, ("exit", 0), 0]
     assert once[0][2] == "usage error: missing required flag(s): --in\n"
     assert once[4][1].startswith("usage: supportminors")
+
+
+# Each command's flags before the flag table, 47 settable values; 12 of them
+# were accepted and never read.
+OLD_FLAGS = {
+    "gen": {"--machine", "--assert", "--cap-enum", "--cap-matrix", "--q", "--m", "--n", "--K",
+            "--r", "--seed", "--out", "--planted"},
+    "solve": {"--machine", "--assert", "--cap-enum", "--cap-matrix", "--in", "--b",
+              "--fix-pluecker"},
+    "check": {"--machine", "--assert", "--cap-enum", "--cap-matrix", "--q", "--m", "--n", "--K",
+              "--r", "--seed", "--in", "--b"},
+    "estimate": {"--machine", "--assert", "--cap-enum", "--cap-matrix", "--q", "--m", "--n",
+                 "--K", "--r", "--seed", "--b"},
+    "brute": {"--machine", "--assert", "--cap-enum", "--cap-matrix", "--in"},
+}
+FLAGS = {
+    "gen": {"--q", "--m", "--n", "--K", "--r", "--seed", "--planted", "--out", "--machine"},
+    "solve": {"--in", "--b", "--fix-pluecker", "--machine", "--cap-enum", "--cap-matrix"},
+    "check": {"--q", "--m", "--n", "--K", "--r", "--seed", "--in", "--b", "--machine",
+              "--assert", "--cap-matrix"},
+    "estimate": {"--m", "--n", "--K", "--r", "--b", "--machine"},
+    "brute": {"--in", "--machine", "--cap-enum"},
+}
+DROPPED = sorted((c, f) for c in OLD_FLAGS for f in OLD_FLAGS[c] - FLAGS[c])
+
+
+def _subparsers():
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _args_read(funcs, name):
+    """The attributes of `args` that function `name` of cli.py reads: its own
+    `args.x`, and those of each cli.py function it passes `args` to, where a
+    string passed along with `args` (as to `_require`) names one too."""
+    read = set()
+    for node in ast.walk(funcs[name]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in funcs
+              and any(getattr(a, "id", None) == "args" for a in node.args)):
+            read |= _args_read(funcs, node.func.id)
+            read |= {a.value for a in node.args if isinstance(a, ast.Constant)}
+    return read
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    parsers = _subparsers()
+    flags = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, sp in parsers.items()}
+    assert flags == FLAGS == {name: set(f) for name, (_, _, f) in cli._COMMANDS.items()}
+    assert all(FLAGS[c] <= OLD_FLAGS[c] for c in OLD_FLAGS)  # no flag added
+    assert sum(map(len, OLD_FLAGS.values())) == 47
+    assert sum(map(len, FLAGS.values())) == 35 and len(DROPPED) == 12
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name, (func, _, _) in cli._COMMANDS.items():
+        dests = {a.dest for a in parsers[name]._actions} - {"help"}
+        assert _args_read(funcs, func.__name__) == dests, name
+
+
+@pytest.mark.parametrize("command, flag", DROPPED)
+def test_dropped_flags_are_usage_errors(capsys, command, flag):
+    value = [] if flag == "--assert" else ["1"]
+    code, out, err = run(capsys, command, flag, *value)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: unrecognized arguments:")

@@ -90,7 +90,7 @@ def test_sparse_rank_large_field():
 
 
 def test_kernel_identity_empty():
-    assert right_kernel_basis(F5, np.eye(4, dtype=np.int64)) == []
+    assert right_kernel_basis(F5, np.eye(4, dtype=np.int64)).shape == (0, 4)
 
 
 def test_kernel_zero_matrix_standard_basis():
