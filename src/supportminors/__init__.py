@@ -7,12 +7,12 @@ from .estimator import (
     ParameterSet,
     complexity_report,
     cost_estimate,
-    eqs_b1,
-    eqs_b2,
+    eqs,
     format_report,
     macaulay_dims,
     solvable,
     sprime_count,
+    submax_dim_formula,
 )
 from .field import PrimeField, is_prime
 from .instance import (
@@ -56,8 +56,6 @@ from .syzygies import (
     generator_family_counts,
     linear_syzygy_dim_prediction,
     specialize,
-    submax_dim_empirical,
-    submax_dim_formula,
     syzygy_row_vector,
     xonly_syzygy_dim,
 )

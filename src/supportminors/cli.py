@@ -18,7 +18,7 @@ import functools
 import sys
 
 from .errors import CapExceededError
-from .estimator import ParameterSet, complexity_report, format_report
+from .estimator import ParameterSet, complexity_report, format_report, submax_dim_formula
 from .field import PrimeField
 from .instance import (
     BRUTE_FORCE_CAP,
@@ -38,12 +38,7 @@ from .serialization import (
     write_witness,
 )
 from .solver import solve_linearization
-from .syzygies import (
-    linear_syzygy_dim_prediction,
-    submax_dim_empirical,
-    submax_dim_formula,
-    xonly_syzygy_dim,
-)
+from .syzygies import linear_syzygy_dim_prediction, xonly_syzygy_dim
 
 
 class UsageError(Exception):
@@ -159,6 +154,8 @@ def _print_solutions(out, sols, human=None, verified=False):
 
 
 def cmd_solve(args) -> int:
+    if args.b not in (1, 2):
+        raise UsageError(f"--b must be 1 or 2, got {args.b}")
     inst = _load(args)
     out = _Out(args.machine)
     fix = None
@@ -220,24 +217,20 @@ def cmd_check(args) -> int:
     out = _Out(args.machine)
     out.data("command", "check")
     out.say(f"check m={inst.m} n={inst.n} K={inst.K} r={inst.r} q={inst.field.q}")
-    mismatch = False
-
-    if args.b in (1, 2):
-        rep = rank_check(inst, args.b, cap=args.cap_matrix)
-        for key, value in [("b", rep.b), ("rows", rep.rows), ("cols", rep.cols),
-                           ("observed", rep.observed_rank), ("predicted", rep.predicted),
-                           ("precondition", rep.precondition_met)]:
-            out.data(key, value)
-        out.kv("match", rep.match,
-               human=f"rank b={rep.b}: observed {rep.observed_rank} / predicted "
-                     f"{rep.predicted} -> {'MATCH' if rep.match else 'MISMATCH'}")
-        if rep.precondition_met and not rep.match:
-            mismatch = True
+    rep = rank_check(inst, args.b, cap=args.cap_matrix)
+    for key, value in [("b", rep.b), ("rows", rep.rows), ("cols", rep.cols),
+                       ("observed", rep.observed_rank), ("predicted", rep.predicted),
+                       ("precondition", rep.precondition_met)]:
+        out.data(key, value)
+    out.kv("match", rep.match,
+           human=f"rank b={rep.b}: observed {rep.observed_rank} / predicted "
+                 f"{rep.predicted} -> {'MATCH' if rep.match else 'MISMATCH'}")
+    mismatch = rep.precondition_met and not rep.match
+    # Mac_b's left kernel holds the syzygies of x-degree b - 1.
+    left_kernel = rep.rows - rep.observed_rank
 
     if inst.r + 2 <= inst.n:
-        # At b = 2, rank_check has already ranked the matrix whose left kernel this is.
-        dim = (rep.rows - rep.observed_rank if args.b == 2
-               else xonly_syzygy_dim(inst, 1, cap=args.cap_matrix))
+        dim = left_kernel if args.b == 2 else xonly_syzygy_dim(inst, 1, cap=args.cap_matrix)
         out.data("syzdim_d1_observed", dim)
         if inst.K >= inst.m * (inst.n - inst.r):
             pred = linear_syzygy_dim_prediction(inst.m, inst.n, inst.r)
@@ -251,17 +244,14 @@ def cmd_check(args) -> int:
             out.say(f"linear syzygies: observed {dim} (no prediction: K below m(n-r))")
 
     if inst.r == inst.n - 1 and args.b >= 2:
-        # At b = 2 this left kernel, too, is of the matrix rank_check has ranked.
-        emp = (rep.rows - rep.observed_rank if args.b == 2
-               else submax_dim_empirical(inst, args.b, cap=args.cap_matrix))
         formula = submax_dim_formula(inst.m, inst.n, inst.K, args.b)
         out.data("submax_b", args.b)
-        out.data("submax_observed", emp)
+        out.data("submax_observed", left_kernel)
         out.data("submax_predicted", formula)
-        out.kv("submax_match", emp == formula,
-               human=f"submaximal b={args.b}: observed {emp} / formula {formula} -> "
-                     f"{'MATCH' if emp == formula else 'MISMATCH'}")
-        if inst.K >= inst.m and emp != formula:
+        out.kv("submax_match", left_kernel == formula,
+               human=f"submaximal b={args.b}: observed {left_kernel} / formula {formula} -> "
+                     f"{'MATCH' if left_kernel == formula else 'MISMATCH'}")
+        if inst.K >= inst.m and left_kernel != formula:
             mismatch = True
 
     if mismatch and args.assert_:

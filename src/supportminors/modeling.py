@@ -187,14 +187,12 @@ class RankCheckReport:
 
 
 def rank_check(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> RankCheckReport:
-    """Observed Macaulay rank vs the proven generic count at b in {1, 2}.
+    """Observed Macaulay rank at any b >= 1 vs the generic count `eqs`.
 
-    The report never asserts: when the b=2 precondition fails or the
-    instance is non-generic, `match` simply records the comparison.
+    The report never asserts: where the count is not proven or the instance
+    is non-generic, `match` simply records the comparison.
     """
-    if b not in (1, 2):
-        raise ValueError(f"rank predictions exist only for b in {{1, 2}}, got {b}")
     p = estimator.ParameterSet(inst.m, inst.n, inst.K, inst.r)
-    predicted, precondition = (estimator.eqs_b1(p), True) if b == 1 else estimator.eqs_b2(p)
+    predicted, precondition = estimator.eqs(p, b)
     rows, cols, observed, _ = macaulay_kernel(inst, b, cap)
     return RankCheckReport(b, rows, cols, observed, predicted, precondition, observed == predicted)

@@ -214,30 +214,3 @@ def generator_family_counts(m: int, n: int, r: int) -> dict[str, int]:
         "Sprime1": sprime1,
         "Sprime3": sprime3,
     }
-
-
-def submax_dim_formula(m: int, n: int, K: int, b: int) -> int:
-    """Closed-form syzygy-space dimension in the submaximal regime r = n-1.
-
-    Alternating sum over i of C(m, n+i) C(n, i-1) C(K+b-n-i-1, K-1), up to
-    min(m-n, n+1, b-n); the empty range (b <= n or m <= n) gives 0.
-    """
-    upper = min(m - n, n + 1, b - n)
-    total = 0
-    for i in range(1, upper + 1):
-        term = comb(m, n + i) * comb(n, i - 1) * comb(K + b - n - i - 1, K - 1)
-        total += term if i % 2 == 1 else -term
-    return total
-
-
-def submax_dim_empirical(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> int:
-    """Left-kernel dimension at x-degree b - 1 for an r = n-1 instance.
-
-    For generic instances with K >= m this equals submax_dim_formula.  The
-    value is observed, not asserted.
-    """
-    if inst.r != inst.n - 1:
-        raise ValueError("submaximal checks require r = n - 1")
-    if b < 2:
-        raise ValueError(f"b must be at least 2, got {b}")
-    return xonly_syzygy_dim(inst, b - 1, cap=cap)

@@ -486,3 +486,26 @@ def ref_parse_instance(text: str):
         return MinRankInstance(field, m, n, K, r, np.array(values, dtype=np.int64).reshape(K, m, n))
     except ValueError as e:
         raise FormatError(str(e)) from None
+
+
+# The per-degree closed forms that preceded the one count at every degree.
+def ref_eqs_b1(p) -> int:
+    """Independent equations at x-degree 1: min(m C(n,r+1), K C(n,r))."""
+    return min(p.m * comb(p.n, p.r + 1), p.K * comb(p.n, p.r))
+
+
+def ref_eqs_b2(p) -> tuple[int, bool]:
+    """min(K m C(n,r+1) - C(m+1,2) C(n,r+2), C(K+1,2) C(n,r)) clamped at 0,
+    and whether m C(n,r+1) <= K C(n,r)."""
+    rows_minus_syz = p.K * p.m * comb(p.n, p.r + 1) - comb(p.m + 1, 2) * comb(p.n, p.r + 2)
+    value = max(0, min(rows_minus_syz, comb(p.K + 1, 2) * comb(p.n, p.r)))
+    return value, p.m * comb(p.n, p.r + 1) <= p.K * comb(p.n, p.r)
+
+
+def ref_solvable(p, b: int) -> bool:
+    """Linearization reaches a solution at b in {1, 2}: the unclamped count
+    is at least cols - 1."""
+    if b == 1:
+        return p.m * comb(p.n, p.r + 1) >= p.K * comb(p.n, p.r) - 1
+    lhs = p.K * p.m * comb(p.n, p.r + 1) - comb(p.m + 1, 2) * comb(p.n, p.r + 2)
+    return lhs >= comb(p.K + 1, 2) * comb(p.n, p.r) - 1

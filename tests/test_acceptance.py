@@ -104,7 +104,7 @@ def test_criterion_5_submaximal_dimensions():
         t0 = time.time()
         inst = sm.gen_random(FBIG, 5, 3, 5, seed=seed, r=2)
         for b, want in expected.items():
-            got = sm.submax_dim_empirical(inst, b)
+            got = sm.xonly_syzygy_dim(inst, b - 1)
             if got != want or sm.submax_dim_formula(5, 3, 5, b) != want:
                 failures.append((seed, b, got))
         slow = max(slow, time.time() - t0)
@@ -174,7 +174,7 @@ def test_criterion_7_counting_identities():
             details.append(f"rank-nullity q={inst.field.q}")
     # Estimator worked examples.
     p = sm.ParameterSet(4, 4, 3, 2)
-    if sm.eqs_b1(p) != 16 or sm.eqs_b2(p) != (36, True):
+    if sm.eqs(p, 1)[0] != 16 or sm.eqs(p, 2) != (36, True):
         ok = False
         details.append("estimator counts")
     if sm.solvable(p, 1) or not sm.solvable(p, 2):

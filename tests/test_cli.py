@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import ast
 from pathlib import Path
 
@@ -157,9 +158,11 @@ def test_check_match_and_assert(tmp_path, capsys):
 
 def test_check_submax_keys(capsys):
     code, out, _ = run(capsys, "check", "--q", "32003", "--m", "5", "--n", "3",
-                       "--K", "5", "--r", "2", "--seed", "0", "--b", "4", "--machine")
+                       "--K", "5", "--r", "2", "--seed", "0", "--b", "4", "--machine", "--assert")
     assert code == 0
     pairs = kv(out)
+    assert (pairs["rows"], pairs["observed"], pairs["predicted"]) == ("175", "170", "170")
+    assert pairs["precondition"] == pairs["match"] == "true"
     assert pairs["submax_observed"] == "5"
     assert pairs["submax_predicted"] == "5"
     assert pairs["submax_match"] == "true"
@@ -229,12 +232,16 @@ def test_usage_errors_exit_1(capsys):
                "--r", "1", "--out", "/tmp/x.mr")[0] == 1                # q not prime
 
 
-@pytest.mark.parametrize("command, b", [(c, b) for c in ("check", "estimate") for b in ("0", "-1")])
+@pytest.mark.parametrize("command, b", [(c, b) for c in ("check", "estimate") for b in ("0", "-1")]
+                         + [("solve", b) for b in ("0", "-1", "3")])
 def test_check_b_below_1_is_a_usage_error(capsys, command, b):
-    code, out, err = run(capsys, command, "--m", "3", "--n", "3", "--K", "4", "--r", "2",
-                         "--b", b, "--machine")
+    # solve rejects its degree before it reads --in, here a missing file.
+    params = (["--in", "/nonexistent.mr"] if command == "solve"
+              else ["--m", "3", "--n", "3", "--K", "4", "--r", "2"])
+    code, out, err = run(capsys, command, *params, "--b", b, "--machine")
     assert (code, out) == (1, "")
-    assert err == f"usage error: --b must be at least 1, got {b}\n"
+    want = "be 1 or 2" if command == "solve" else "be at least 1"
+    assert err == f"usage error: --b must {want}, got {b}\n"
 
 
 def test_missing_flags_named_as_typed(capsys):
@@ -289,9 +296,9 @@ def test_matrix_cap_counts_b2_cells(tmp_path, capsys, gen, refusals, ok_cap, dim
 
 
 def test_check_b2_reads_syzygy_dim_off_its_rank(capsys, monkeypatch):
-    # At b = 2 the linear-syzygy dimension (r + 2 <= n) and the submaximal one
-    # (r = n - 1) are rows - rank of the matrix that rank_check has already
-    # ranked, so each run may eliminate only once.
+    # At b = 2 the linear-syzygy dimension (r + 2 <= n), and at every b >= 2
+    # the submaximal one (r = n - 1), are rows - rank of the matrix that
+    # rank_check has already ranked, so each run may eliminate only once.
     from supportminors import modeling, syzygies
     from supportminors.instance import gen_random
     from supportminors.syzygies import xonly_syzygy_dim
@@ -303,14 +310,18 @@ def test_check_b2_reads_syzygy_dim_off_its_rank(capsys, monkeypatch):
             return _rank(*a, **k)
         monkeypatch.setattr(module, "matrix_rank", counted)
 
-    for (m, n, K, r), seed, key, value in [((4, 4, 8, 2), 3, "syzdim_d1_observed", "10"),
-                                           ((5, 3, 5, 2), 0, "submax_observed", "0")]:
+    for (m, n, K, r), seed, b, key, value in [
+            ((4, 4, 8, 2), 3, 2, "syzdim_d1_observed", "10"),
+            ((5, 3, 5, 2), 0, 2, "submax_observed", "0"),
+            ((5, 3, 5, 2), 0, 3, "submax_observed", "0"),
+            ((5, 3, 5, 2), 0, 4, "submax_observed", "5")]:
         args = ["check", "--q", "32003", "--m", str(m), "--n", str(n), "--K", str(K),
-                "--r", str(r), "--seed", str(seed), "--b", "2"]
+                "--r", str(r), "--seed", str(seed), "--b", str(b)]
         calls.clear()
         outs = [run(capsys, *args, *flag) for flag in ((), ("--machine",))]
         assert len(calls) == 2  # one rank per run
-        dim = xonly_syzygy_dim(gen_random(PrimeField(32003), m, n, K, seed, r=r), 1)
+        inst = gen_random(PrimeField(32003), m, n, K, seed, r=r)
+        dim = xonly_syzygy_dim(inst, 1 if key == "syzdim_d1_observed" else b - 1)
         assert kv(outs[1][1])[key] == str(dim) == value
         assert outs[0][0] == outs[1][0] == 0
 
@@ -415,3 +426,27 @@ def test_dropped_flags_are_usage_errors(capsys, command, flag):
     code, out, err = run(capsys, command, flag, *value)
     assert (code, out) == (1, "")
     assert err.startswith("usage error: unrecognized arguments:")
+
+
+# (m, n, K, r) for the estimate / check golden digest: both b = 2 regimes,
+# a clamped count, r = n and r = n - 1 with K below and above m.
+GOLDEN_PARAMS = [
+    (4, 4, 3, 2), (4, 4, 2, 2), (2, 3, 2, 1), (3, 3, 2, 3), (2, 2, 2, 2), (3, 4, 2, 3),
+    (4, 3, 3, 2), (5, 3, 5, 2), (6, 3, 6, 2), (2, 2, 3, 1), (3, 4, 4, 2), (4, 5, 5, 2),
+    (3, 6, 6, 2), (2, 5, 6, 2), (3, 3, 4, 1), (2, 4, 5, 1), (10, 4, 1, 1), (4, 4, 8, 2),
+    (1, 3, 4, 1), (3, 5, 4, 1),
+]
+# sha256 over (exit code, stdout, stderr) of `estimate` and `check --machine`
+# at b = 1 and 2 on every GOLDEN_PARAMS set (check at q = 32003, seed 1),
+# frozen while the counts were still one closed form per degree.
+ESTIMATE_CHECK_DIGEST = "e5023ca11c5e62fe9a848c79aa209833fa56f65a546926758e467a2618d14840"
+
+
+def test_estimate_check_golden_digest(capsys):
+    h = hashlib.sha256()
+    for m, n, K, r in GOLDEN_PARAMS:
+        params = ["--m", str(m), "--n", str(n), "--K", str(K), "--r", str(r)]
+        for b in ("1", "2"):
+            for command in (["estimate"], ["check", "--q", "32003", "--seed", "1"]):
+                h.update(repr(run(capsys, *command, *params, "--b", b, "--machine")).encode())
+    assert h.hexdigest() == ESTIMATE_CHECK_DIGEST

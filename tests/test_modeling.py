@@ -224,7 +224,15 @@ def test_rank_check_b2_failed_precondition_still_reports():
 def test_rank_check_rejects_other_b():
     inst = gen_random(F7, 2, 3, 2, seed=0, r=1)
     with pytest.raises(ValueError):
-        rank_check(inst, 3)
+        rank_check(inst, 0)
+
+
+@pytest.mark.parametrize("m, n, K, r", [(5, 3, 5, 2), (6, 3, 6, 2), (3, 4, 4, 2), (2, 4, 5, 1)])
+def test_rank_check_past_b2(m, n, K, r):
+    for b in (3, 4):
+        rep = rank_check(gen_random(FBIG, m, n, K, seed=1, r=r), b)
+        assert rep.match, (b, rep)
+        assert rep.precondition_met == (r == n - 1)  # K >= m at every r = n - 1 set
 
 
 def test_planted_rank_deficient():

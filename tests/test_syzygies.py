@@ -3,6 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from supportminors.estimator import submax_dim_formula
 from supportminors.field import PrimeField
 from supportminors.instance import elementary_instance, gen_random
 from supportminors.linalg import mat_mul, rank
@@ -15,8 +16,6 @@ from supportminors.syzygies import (
     enumerate_sprime3,
     linear_syzygy_dim_prediction,
     specialize,
-    submax_dim_empirical,
-    submax_dim_formula,
     syzygy_row_vector,
     xonly_syzygy_dim,
 )
@@ -253,16 +252,7 @@ def test_submax_empirical_matches_formula():
     for seed in range(2):
         inst = gen_random(FBIG, 5, 3, 5, seed=seed, r=2)
         for b in (3, 4):
-            assert submax_dim_empirical(inst, b) == submax_dim_formula(5, 3, 5, b)
-
-
-def test_submax_empirical_guards():
-    inst = gen_random(F7, 4, 4, 2, seed=0, r=2)  # r != n-1
-    with pytest.raises(ValueError):
-        submax_dim_empirical(inst, 4)
-    inst2 = gen_random(F7, 4, 3, 2, seed=0, r=2)
-    with pytest.raises(ValueError):
-        submax_dim_empirical(inst2, 1)
+            assert xonly_syzygy_dim(inst, b - 1) == submax_dim_formula(5, 3, 5, b)
 
 
 def test_generator_family_bookkeeping():
