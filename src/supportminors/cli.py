@@ -214,10 +214,10 @@ def _require_degree(args):
 def cmd_check(args) -> int:
     _require_degree(args)
     inst = _instance_for_check(args)
+    rep = rank_check(inst, args.b, cap=args.cap_matrix)  # fails (r = n, cap) before any output
     out = _Out(args.machine)
     out.data("command", "check")
     out.say(f"check m={inst.m} n={inst.n} K={inst.K} r={inst.r} q={inst.field.q}")
-    rep = rank_check(inst, args.b, cap=args.cap_matrix)
     for key, value in [("b", rep.b), ("rows", rep.rows), ("cols", rep.cols),
                        ("observed", rep.observed_rank), ("predicted", rep.predicted),
                        ("precondition", rep.precondition_met)]:

@@ -17,18 +17,19 @@ y-variable `var` = k*n + j and `sign` in {-1, 0, +1}; S'1 members pad their
 second half with sign 0.  Members run over rows, then colex J+; entries over
 rows, then colex order of their equations' column sets.  `specialize`
 substitutes y_{k,j} -> sum_l M_l[k,j] x_l by one gather from the instance's
-stack, giving (F, E, K) x-forms mod q, and `check_annihilation` verifies
-them exactly on arrays (see there).
+stack, giving (F, E, K) x-forms in [0, q), and `check_annihilation` verifies
+them by one scatter-sum into (member, Plucker, monomial) bins (see there).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .combinatorics import drop_ranks, subsets_colex
+from .combinatorics import drop_ranks, monomial_rank, subsets_colex
 from .estimator import sprime_count
 from .field import PrimeField
 from .instance import MinRankInstance
@@ -70,8 +71,8 @@ class SyzygyFamily(_Members):
 
 @dataclass(frozen=True, eq=False)
 class SpecializedFamily(_Members):
-    """x-linear syzygies of one instance: member f is
-    sum_e (sum_a forms[f, e, a] x_a) * eq(eq[f, e]), coefficients mod q."""
+    """x-linear syzygies of one instance: member f is sum_e (sum_a forms[f, e, a]
+    x_a) * eq(eq[f, e]), `forms` in [0, q) (`check_annihilation` relies on it)."""
 
     _arrays = ("eq", "forms")
     m: int
@@ -130,8 +131,7 @@ def specialize(fam: SyzygyFamily, inst: MinRankInstance) -> SpecializedFamily:
     if (fam.m, fam.n, fam.r) != (inst.m, inst.n, inst.r):
         raise ValueError(f"family for (m, n, r) = {(fam.m, fam.n, fam.r)} on an instance "
                          f"with {(inst.m, inst.n, inst.r)}")
-    gathered = inst.stack.reshape(inst.K, -1)[:, fam.var]  # (K, F, E)
-    forms = np.moveaxis(gathered, 0, -1) * fam.sign[:, :, None] % inst.field.q
+    forms = inst.stack.reshape(inst.K, -1).T[fam.var] * fam.sign[:, :, None] % inst.field.q
     forms.setflags(write=False)
     return SpecializedFamily(fam.m, fam.n, fam.r, fam.eq, forms)
 
@@ -143,26 +143,36 @@ def _check_fits(spec: SpecializedFamily, eqs: BilinearSystem) -> None:
         raise ValueError(f"family for (m, n, r, K) = {got} on a system with {want}")
 
 
+@functools.cache
+def _monomial_ranks(K: int) -> np.ndarray:
+    """Read-only (K, K) table of the colex rank of x_a x_ell among the degree-2
+    monomials."""
+    ranks = np.array([[monomial_rank((min(a, ell), max(a, ell))) for ell in range(K)]
+                      for a in range(K)], dtype=np.int64)
+    ranks.setflags(write=False)
+    return ranks
+
+
 def check_annihilation(field: PrimeField, spec: SpecializedFamily, equations: BilinearSystem) -> bool:
     """True iff every member's sum of entry * equation expands to zero, exactly.
 
-    For each member and Plucker coordinate T, S_T[a, ell] sums entry
-    coefficient of x_a times equation coefficient of x_ell c_T: outer
-    products of the entries' x-forms with their equations' (r+1) x K blocks,
-    reduced mod q (factors below 2^31, exact in int64), summed by one
-    one-hot product.  Every monomial coefficient must vanish mod q.
+    One `np.bincount` adds each product of an entry's x_a and its equation's
+    x_ell c_T coefficients into the bin of (member, Plucker rank T, colex rank
+    of x_a x_ell): x_a x_b collects both orders, x_a^2 only its own products
+    (also at q = 2), and a member annihilates iff its bins are 0 mod q.  One
+    term per equation has T, so a bin sums at most 2 E products of factors in
+    [0, q), reduced first unless 2 E (q-1)^2 < 2^53: float64 sums stay exact.
     """
     _check_fits(spec, equations)
-    q, (F, E, K), P = field.q, spec.forms.shape, comb(spec.n, spec.r)
-    X = E * (spec.r + 1)  # (entry, t) pairs per member
-    coef = equations.coef[spec.eq]  # (F, E, r+1, K)
-    plk = equations.plk[spec.eq % len(equations.plk)].reshape(F, 1, X)
-    outer = (spec.forms[:, :, None, :, None] * coef[:, :, :, None, :] % q).reshape(F, X, K * K)
-    onehot = (np.arange(P)[:, None] == plk).astype(np.int64)  # (F, P, X)
-    S = (onehot @ outer % q).reshape(F, P, K, K)
-    # x_a x_b (a < b) collects S[a, b] + S[b, a] and x_a^2 collects S[a, a]
-    # alone; the doubled diagonal of the sum is no test of it at q = 2.
-    return not ((S + S.swapaxes(2, 3)) % q).any() and not S.diagonal(axis1=2, axis2=3).any()
+    q, (F, E, K) = field.q, spec.forms.shape
+    M, P = K * (K + 1) // 2, comb(spec.n, spec.r)
+    plk = np.take(equations.plk, spec.eq, axis=0, mode="wrap")  # row eq mod C(n, r+1) = colex(J)
+    key = ((plk + np.arange(0, F * P, P)[:, None, None]) * M)[..., None, None] + _monomial_ranks(K)
+    prod = spec.forms[:, :, None, :, None] * equations.coef[spec.eq][:, :, :, None, :]
+    if 2 * E * (q - 1) ** 2 >= 2**53:
+        prod %= q
+    bins = np.bincount(key.ravel(), prod.ravel(), F * P * M)
+    return not np.count_nonzero(bins.astype(np.int64) % q)
 
 
 def syzygy_row_vector(spec: SpecializedFamily, mac: MacaulayMatrix) -> np.ndarray:

@@ -438,8 +438,9 @@ GOLDEN_PARAMS = [
 ]
 # sha256 over (exit code, stdout, stderr) of `estimate` and `check --machine`
 # at b = 1 and 2 on every GOLDEN_PARAMS set (check at q = 32003, seed 1),
-# frozen while the counts were still one closed form per degree.
-ESTIMATE_CHECK_DIGEST = "e5023ca11c5e62fe9a848c79aa209833fa56f65a546926758e467a2618d14840"
+# frozen while the counts were still one closed form per degree, and
+# re-frozen when `check` at r = n stopped printing its header before failing.
+ESTIMATE_CHECK_DIGEST = "8a4624bb8322aa4a135c87827fe6ce7d6ebf7218a312442cf375a77ac2e99b1a"
 
 
 def test_estimate_check_golden_digest(capsys):
@@ -450,3 +451,14 @@ def test_estimate_check_golden_digest(capsys):
             for command in (["estimate"], ["check", "--q", "32003", "--seed", "1"]):
                 h.update(repr(run(capsys, *command, *params, "--b", b, "--machine")).encode())
     assert h.hexdigest() == ESTIMATE_CHECK_DIGEST
+
+
+@pytest.mark.parametrize("m,n,K,r", [p for p in GOLDEN_PARAMS if p[3] == p[1]])
+@pytest.mark.parametrize("b", ["1", "2"])
+def test_check_at_r_equal_n_fails_before_any_output(capsys, m, n, K, r, b):
+    params = ["--m", str(m), "--n", str(n), "--K", str(K), "--r", str(r), "--b", b]
+    error = f"error: r={r} must be below n={n}: no (r+1)-column subsets exist\n"
+    for mode in (["--machine"], []):
+        assert run(capsys, "check", "--q", "32003", "--seed", "1", *params, *mode) == (1, "", error)
+    code, out, _ = run(capsys, "estimate", *params, "--machine")
+    assert code == 0 and set(kv(out)["predicted"]) == {"0"}  # its b = 1 and b = 2 blocks
