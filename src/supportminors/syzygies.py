@@ -17,7 +17,7 @@ y-variable `var` = k*n + j and `sign` in {-1, 0, +1}; S'1 members pad their
 second half with sign 0.  Members run over rows, then colex J+; entries over
 rows, then colex order of their equations' column sets.  `specialize`
 substitutes y_{k,j} -> sum_l M_l[k,j] x_l by one gather from the instance's
-stack, giving (F, E, K) x-forms in [0, q), and `check_annihilation` verifies
+stack, giving (F, E, K) x-forms mod q, and `check_annihilation` verifies
 them by one scatter-sum into (member, Plucker, monomial) bins (see there).
 """
 
@@ -71,8 +71,8 @@ class SyzygyFamily(_Members):
 
 @dataclass(frozen=True, eq=False)
 class SpecializedFamily(_Members):
-    """x-linear syzygies of one instance: member f is sum_e (sum_a forms[f, e, a]
-    x_a) * eq(eq[f, e]), `forms` in [0, q) (`check_annihilation` relies on it)."""
+    """x-linear syzygies of one instance: member f is
+    sum_e (sum_a forms[f, e, a] x_a) * eq(eq[f, e]), coefficients mod q."""
 
     _arrays = ("eq", "forms")
     m: int
@@ -157,20 +157,19 @@ def check_annihilation(field: PrimeField, spec: SpecializedFamily, equations: Bi
     """True iff every member's sum of entry * equation expands to zero, exactly.
 
     One `np.bincount` adds each product of an entry's x_a and its equation's
-    x_ell c_T coefficients into the bin of (member, Plucker rank T, colex rank
-    of x_a x_ell): x_a x_b collects both orders, x_a^2 only its own products
+    x_ell c_T coefficients, reduced mod q (factors below 2^31, exact in
+    int64), into the bin of (member, Plucker rank T, colex rank of
+    x_a x_ell): x_a x_b collects both orders, x_a^2 only its own products
     (also at q = 2), and a member annihilates iff its bins are 0 mod q.  One
-    term per equation has T, so a bin sums at most 2 E products of factors in
-    [0, q), reduced first unless 2 E (q-1)^2 < 2^53: float64 sums stay exact.
+    term per equation has T, so a bin of an E-entry member sums at most 2 E
+    residues, far below 2^53: every float64 sum is exact.
     """
     _check_fits(spec, equations)
-    q, (F, E, K) = field.q, spec.forms.shape
+    q, (F, _, K) = field.q, spec.forms.shape
     M, P = K * (K + 1) // 2, comb(spec.n, spec.r)
     plk = np.take(equations.plk, spec.eq, axis=0, mode="wrap")  # row eq mod C(n, r+1) = colex(J)
     key = ((plk + np.arange(0, F * P, P)[:, None, None]) * M)[..., None, None] + _monomial_ranks(K)
-    prod = spec.forms[:, :, None, :, None] * equations.coef[spec.eq][:, :, :, None, :]
-    if 2 * E * (q - 1) ** 2 >= 2**53:
-        prod %= q
+    prod = spec.forms[:, :, None, :, None] * equations.coef[spec.eq][:, :, :, None, :] % q
     bins = np.bincount(key.ravel(), prod.ravel(), F * P * M)
     return not np.count_nonzero(bins.astype(np.int64) % q)
 

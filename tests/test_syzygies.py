@@ -20,7 +20,7 @@ from supportminors.syzygies import (
     xonly_syzygy_dim,
 )
 
-from oracle import colex_monomials, ref_sprime
+from oracle import colex_monomials, ref_annihilates, ref_sprime
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -122,13 +122,21 @@ def test_perturbed_syzygy_fails():
     bad = SpecializedFamily(spec.m, spec.n, spec.r, spec.eq, forms)
     assert check_annihilation(F7, bad, eqs) is False
     assert [check_annihilation(F7, s, eqs) for s in bad] == [i != 5 for i in range(len(bad))]
-    # Two copies of member 5, bumped by +1 and -1: their sums cancel, so a
-    # check that pooled members would pass them.
-    pair = np.repeat(spec.forms[5:6], 2, axis=0)
-    pair[0, e, a] = (pair[0, e, a] + 1) % 7
-    pair[1, e, a] = (pair[1, e, a] - 1) % 7
-    twins = SpecializedFamily(spec.m, spec.n, spec.r, np.repeat(spec.eq[5:6], 2, axis=0), pair)
-    assert check_annihilation(F7, twins, eqs) is False
+    # Two copies of the last member, bumped by +1 and -1 at one entry, over every
+    # field and two shapes: their sums cancel, so a check that pooled members
+    # (or shared bins across them) would pass them.
+    for q in (2, 3, 7, 32003, 2**31 - 1):
+        for m, n, r in ((3, 4, 1), (2, 5, 3)):
+            f = PrimeField(q)
+            inst = gen_random(f, m, n, 2, seed=1, r=r)
+            eqs = build_equations(inst)
+            spec = specialize(enumerate_sprime(m, n, r), inst)
+            e, a = np.argwhere(spec.forms[-1])[0]
+            pair = np.repeat(spec.forms[-1:], 2, axis=0)
+            pair[:, e, a] = (pair[:, e, a] + [1, q - 1]) % q
+            twins = SpecializedFamily(m, n, r, np.repeat(spec.eq[-1:], 2, axis=0), pair)
+            assert not ref_annihilates(inst, eqs, twins, 0) and not ref_annihilates(inst, eqs, twins, 1)
+            assert check_annihilation(f, twins, eqs) is False, (q, m, n, r)
 
 
 def test_zero_syzygy_annihilates():
