@@ -215,6 +215,9 @@ def cmd_check(args) -> int:
     _require_degree(args)
     inst = _instance_for_check(args)
     rep = rank_check(inst, args.b, cap=args.cap_matrix)  # fails (r = n, cap) before any output
+    left_kernel = rep.rows - rep.observed_rank  # the syzygies of x-degree b - 1
+    if inst.r + 2 <= inst.n:  # Mac_2's cap, too, refuses before any output
+        dim = left_kernel if args.b == 2 else xonly_syzygy_dim(inst, 1, cap=args.cap_matrix)
     out = _Out(args.machine)
     out.data("command", "check")
     out.say(f"check m={inst.m} n={inst.n} K={inst.K} r={inst.r} q={inst.field.q}")
@@ -226,11 +229,8 @@ def cmd_check(args) -> int:
            human=f"rank b={rep.b}: observed {rep.observed_rank} / predicted "
                  f"{rep.predicted} -> {'MATCH' if rep.match else 'MISMATCH'}")
     mismatch = rep.precondition_met and not rep.match
-    # Mac_b's left kernel holds the syzygies of x-degree b - 1.
-    left_kernel = rep.rows - rep.observed_rank
 
     if inst.r + 2 <= inst.n:
-        dim = left_kernel if args.b == 2 else xonly_syzygy_dim(inst, 1, cap=args.cap_matrix)
         out.data("syzdim_d1_observed", dim)
         if inst.K >= inst.m * (inst.n - inst.r):
             pred = linear_syzygy_dim_prediction(inst.m, inst.n, inst.r)

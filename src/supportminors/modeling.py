@@ -17,6 +17,7 @@ x-monomials mu of degree b-1; rows are ordered monomial-major, then by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -116,63 +117,72 @@ def macaulay(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> Macau
     return MacaulayMatrix(b, K, eqs, data)
 
 
+def _lifts(p: estimator.ParameterSet, b: int) -> bool:
+    """Whether `macaulay_kernel` lifts Mac_b from b-1: where G_b, at the generic
+    d_{b-1} = cols_{b-1} - eqs(p, b-1), has fewer cells than Mac_b."""
+    if b < 2:
+        return False
+    d = estimator.macaulay_dims(p, b - 1)[1] - estimator.eqs(p, b - 1)[0]
+    rows, cols = estimator.macaulay_dims(p, b)
+    return comb(p.K, 2) * comb(p.K + b - 3, b - 2) * comb(p.n, p.r) * p.K * d < rows * cols
+
+
+@functools.cache
+def _lift_indices(K: int, b: int) -> tuple[np.ndarray, ...]:
+    """Read-only index columns of the lift to degree b: per row of G_b, per mu."""
+    g = [(a, c, monomial_rank(monomial_mul(w, c)), monomial_rank(monomial_mul(w, a)))
+         for a, c in subsets_colex(K, 2) for w in monomials_colex(K, b - 2)]
+    u = [(mu[0], monomial_rank(mu[1:])) for mu in monomials_colex(K, b)]
+    tables = (*np.array(g, dtype=np.int64).reshape(-1, 4).T, *np.array(u, dtype=np.int64).T)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def macaulay_kernel(
     inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP, *, basis: bool = False
 ) -> tuple[int, int, int, np.ndarray | None]:
     """(rows, cols, rank, kernel basis or None) of the degree-b Macaulay
     matrix; the basis is a (dim ker, cols) int64 array, bit-identical to
-    `right_kernel_basis` of the assembled matrix.  Every b but 2 assembles
-    the matrix and eliminates it, forward only without `basis`.  Mac_2 is
-    never assembled: rows and cols are its nominal dimensions, and the cap
-    applies to its nominal cell count, then to Mac_1's and G's.
+    `right_kernel_basis` of the assembled matrix.  The cap applies first to
+    Mac_b's nominal cells; Mac_b is then assembled and eliminated (forward
+    only without `basis`), unless `_lifts` picks the lift from b-1.
 
-    Row (x_a, e) of Mac_2 is row e of Mac_1 with each x_ell column block
-    moved to x_a x_ell, so u is in ker Mac_2 exactly when every slice
-    W_a[ell, T] = u(x_a x_ell, T) lies in ker Mac_1 and W_a[ell] = W_ell[a].
-    With B a basis of ker Mac_1 (dimension d1) and W_a = sum_i Y[a, i] B_i,
-    the symmetry is G y = 0 for the C(K, 2) C(n, r) x K d1 matrix G holding
-    +B_i[ell, T] at column (a, i) and -B_i[a, T] at column (ell, i) in row
-    (a < ell, T); so dim ker Mac_2 = dim ker G, and the lift of a basis of
-    ker G spans ker Mac_2.  The free columns of Mac_2 (its non-pivots) are
-    the pivots a right-to-left elimination finds in any kernel basis, and
-    on them the basis `right_kernel_basis` returns is the identity: so it
-    is the RREF of the lifted basis with its columns reversed, columns and
-    rows then reversed back.
-
-    With E = m C(n, r+1) equations, G has (K-1) d1 / ((K+1) E) times the
-    cells of Mac_2: fewer when the b = 1 kernel is small next to E, more
-    when the b = 1 system is far underdetermined.
+    Row (x_a omega, e) of Mac_b is row (omega, e) of Mac_{b-1} with x_ell
+    moved to x_a omega x_ell, so u is in ker Mac_b exactly when every slice
+    V_a[nu, T] = u(x_a nu, T) lies in ker Mac_{b-1} and V_a[x_c omega] =
+    V_c[x_a omega] for a < c.  With B a basis of ker Mac_{b-1} (dimension d)
+    and V_a = sum_i Y[a, i] B_i, that is G_b y = 0 for G_b (capped too)
+    holding +B_i[x_c omega, T] at column (a, i) and -B_i[x_a omega, T] at
+    (c, i) in row (a < c, omega, T); u(mu, T) = V_a[mu / x_a, T], a the
+    smallest variable of mu.  On the free columns of Mac_b, the pivots of a
+    right-to-left elimination of any kernel basis, `right_kernel_basis` is
+    the identity: so it is the RREF of the column-reversed lift, reversed back.
     """
-    K, f, q = inst.K, inst.field, inst.field.q
-    if b != 2:
+    f, K, p = inst.field, inst.K, estimator.ParameterSet(inst.m, inst.n, inst.K, inst.r)
+    rows, cols = estimator.macaulay_dims(p, b)
+    check_cell_cap(rows, cols, cap)
+    if not _lifts(p, b):
         mac = macaulay(inst, b, cap=cap)
-        rows, cols = mac.n_rows, mac.n_cols
         if not basis:
             return rows, cols, matrix_rank(f, mac.data), None
         Z = right_kernel_basis(f, mac.data.to_dense())
         return rows, cols, cols - len(Z), Z
-    rows, cols = estimator.macaulay_dims(estimator.ParameterSet(inst.m, inst.n, K, inst.r), 2)
-    check_cell_cap(rows, cols, cap)
-    B = macaulay_kernel(inst, 1, cap, basis=True)[3]
-    P, d1 = comb(inst.n, inst.r), len(B)
-    B = B.reshape(d1, K, P)
-    pairs = np.array(list(subsets_colex(K, 2)), dtype=np.int64).reshape(-1, 2)
-    check_cell_cap(len(pairs) * P, K * d1, cap)
-    a, ell, at = pairs[:, 0], pairs[:, 1], np.arange(len(pairs))
-    G = np.zeros((len(pairs), P, K, d1), dtype=np.int64)
-    G[at, :, a, :] = B[:, ell, :].transpose(1, 2, 0)
-    G[at, :, ell, :] = (q - B[:, a, :]).transpose(1, 2, 0) % q
-    G = G.reshape(len(pairs) * P, K * d1)
+    B = macaulay_kernel(inst, b - 1, cap, basis=True)[3]
+    a, c, at_c, at_a, lead, rest = _lift_indices(K, b)
+    (d, cols_below), P = B.shape, comb(inst.n, inst.r)
+    V = B.reshape(d, cols_below // P, P)
+    check_cell_cap(len(a) * P, K * d, cap)
+    G = np.zeros((len(a), P, K, d), dtype=np.int64)
+    G[np.arange(len(a)), :, a, :] = V[:, at_c, :].transpose(1, 2, 0)
+    G[np.arange(len(a)), :, c, :] = (f.q - V[:, at_a, :]).transpose(1, 2, 0) % f.q
+    G = G.reshape(len(a) * P, K * d)
     if not basis:
-        return rows, cols, cols - K * d1 + matrix_rank(f, G), None
+        return rows, cols, cols - K * d + matrix_rank(f, G), None
     Y = right_kernel_basis(f, G)
-    d2 = len(Y)
-    # W[z, a, ell, T] = sum_i Y_z[a, i] B_i[ell, T]; u(x_a x_ell, T) = W[z, a, ell, T] for a <= ell.
-    W = mat_mul(f, Y.reshape(d2 * K, d1), B.reshape(d1, K * P)).reshape(d2, K, K, P)
-    mono = np.array(list(monomials_colex(K, 2)), dtype=np.int64)
-    lifted = W[:, mono[:, 0], mono[:, 1]].reshape(d2, cols)
-    R = rref(f, lifted[:, ::-1])[1]
-    return rows, cols, cols - d2, np.ascontiguousarray(R[::-1, ::-1])
+    W = mat_mul(f, Y.reshape(len(Y) * K, d), B).reshape(len(Y), K, *V.shape[1:])  # V_a per Y row
+    R = rref(f, W[:, lead, rest].reshape(len(Y), cols)[:, ::-1])[1]
+    return rows, cols, cols - len(Y), np.ascontiguousarray(R[::-1, ::-1])
 
 
 @dataclass(frozen=True)

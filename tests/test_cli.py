@@ -275,10 +275,9 @@ def test_matrix_cap_exit_2(tmp_path, capsys):
     # count although the matrix itself is never assembled.
     (("7", "4", "6", "4", "2"), [("47999", "320 x 150 = 48000")], "48000", ("320", "150")),
     # An underdetermined b = 1 system (kernel dimension 9 of 12 columns):
-    # the lift's own 18 x 36 matrix has more cells than the nominal 12 x 30
-    # b = 2 matrix, and the cap applies to it as well.
-    (("32003", "1", "3", "4", "1"), [("360", "18 x 36 = 648"), ("647", "18 x 36 = 648")],
-     "648", ("12", "30")),
+    # the lift's matrix would be 18 x 36 = 648 cells, more than the 12 x 30
+    # b = 2 matrix, so that matrix is assembled and the cap applies to it alone.
+    (("32003", "1", "3", "4", "1"), [("359", "12 x 30 = 360")], "360", ("12", "30")),
 ])
 def test_matrix_cap_counts_b2_cells(tmp_path, capsys, gen, refusals, ok_cap, dims):
     path = tmp_path / "inst.mr"
@@ -293,6 +292,17 @@ def test_matrix_cap_counts_b2_cells(tmp_path, capsys, gen, refusals, ok_cap, dim
         code, out, err = run(capsys, command, "--in", str(path), "--b", "2",
                              "--cap-matrix", ok_cap, "--machine")
         assert (code, err, kv(out)["rows"], kv(out)["cols"]) == (0, "") + dims
+
+
+def test_check_refuses_mac2_before_any_output(capsys):
+    # With r + 2 <= n, check at b = 1 also ranks Mac_2 (320 x 150 = 48000
+    # cells) for the linear syzygies; a cap between Mac_1's cells and Mac_2's
+    # refuses before the first line.
+    args = ["check", "--q", "7", "--m", "4", "--n", "6", "--K", "4", "--r", "2", "--b", "1",
+            "--cap-matrix", "10000"]
+    err = "refused: matrix of 320 x 150 = 48000 cells exceeds cap 10000\n"
+    for mode in (["--machine"], []):
+        assert run(capsys, *args, *mode) == (2, "", err)
 
 
 def test_check_b2_reads_syzygy_dim_off_its_rank(capsys, monkeypatch):

@@ -4,8 +4,10 @@ from math import comb
 import numpy as np
 import pytest
 
+from supportminors import modeling
 from supportminors.combinatorics import subsets_colex
 from supportminors.errors import CapExceededError
+from supportminors.estimator import ParameterSet
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance, evaluate_pencil, gen_planted, gen_random
 from supportminors.linalg import rank
@@ -186,6 +188,26 @@ def test_macaulay_cap():
     inst = gen_random(F7, 4, 8, 6, seed=0, r=2)
     with pytest.raises(CapExceededError):
         macaulay(inst, 3, cap=1000)
+
+
+@pytest.mark.parametrize("shape, b, lifts", [  # (m, n, K, r), degree, lifted from b - 1
+    ((1, 3, 20, 1), 2, False), ((1, 4, 10, 2), 2, False), ((2, 5, 6, 2), 3, False),
+    ((3, 6, 6, 2), 3, True), ((4, 5, 5, 2), 3, True), ((6, 6, 8, 2), 3, True),
+    ((5, 3, 5, 2), 4, False), ((5, 3, 5, 2), 5, False), ((6, 6, 8, 2), 2, True),
+    ((5, 6, 6, 2), 2, True), ((3, 4, 2, 1), 1, False),
+])
+def test_lift_rule_choices(shape, b, lifts):
+    assert modeling._lifts(ParameterSet(*shape), b) is lifts
+
+
+def test_matrix_cap_prices_assembled_mac2():
+    # Generic d1 = 57: G would be 570 x 1140 cells, Mac_2 is 60 x 630, so
+    # Mac_2 is assembled and the cap applies to its cells alone.
+    inst = gen_random(FBIG, 1, 3, 20, 1, r=1)
+    rep = rank_check(inst, 2, cap=40_000)
+    assert (rep.rows, rep.cols, rep.observed_rank, rep.match) == (60, 630, 59, True)
+    with pytest.raises(CapExceededError, match="60 x 630 = 37800 cells exceeds cap 37799"):
+        rank_check(inst, 2, cap=37_799)
 
 
 def test_evaluation_vector_in_kernel():

@@ -1,12 +1,14 @@
 """Property tests of the index-arithmetic Macaulay assembly against
-`oracle.ref_macaulay`, and of `macaulay_kernel` (lifted at b = 2,
-eliminated at b = 1 and 3) against direct elimination of the assembled
-matrix and `oracle.ref_rank`.
+`oracle.ref_macaulay`, and of `macaulay_kernel` against direct elimination
+of the assembled matrix and `oracle.ref_rank`, on both sides of its rule:
+with `modeling._lifts` patched, each case runs once assembled at its own
+degree and once lifted at every degree from 2 up.
 
-Fields span q in {2, 3, 7, 32003, 2**31 - 1}, degrees b in {1, 2, 3}, and
-shapes include r = n - 1, K = 1 and m = 1.  Pencil entries are drawn with
-Python's `random` at a chosen density, so rows of one matrix carry
-different numbers of terms and some may be empty.
+Fields span q in {2, 3, 7, 32003, 2**31 - 1}, degrees b in {1, 2, 3} for
+the assembly and {1, 2, 3, 4} for the kernel, and shapes include r = n - 1,
+K = 1 and m = 1.  Pencil entries are drawn with Python's `random` at a
+chosen density, so rows of one matrix carry different numbers of terms and
+some may be empty.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supportminors import modeling
 from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance, gen_planted
 from supportminors.linalg import right_kernel_basis
@@ -87,7 +90,7 @@ def test_macaulay_matches_reference(case):
         assert all(values[lo:hi])
 
 
-@pytest.mark.parametrize("b", (1, 2, 3))
+@pytest.mark.parametrize("b", (1, 2, 3, 4))
 @settings(max_examples=120, deadline=None)
 @given(lift_instances())
 @example(_random_instance(2**31 - 1, 4, 4, 2, 1, 1.0, 0))   # b = 1 kernel of dimension 0
@@ -97,10 +100,13 @@ def test_macaulay_kernel_matches_direct_elimination(b, inst):
     mac = macaulay(inst, b)
     dense = mac.data.to_dense()
     want = right_kernel_basis(inst.field, dense)
-    rows, cols, rank, basis = macaulay_kernel(inst, b, basis=True)
-    assert (rows, cols) == (mac.n_rows, mac.n_cols)
-    assert basis.shape == (len(want), mac.n_cols) and basis.dtype == np.int64
-    assert basis.tolist() == [v.tolist() for v in want]
-    assert macaulay_kernel(inst, b) == (rows, cols, rank, None)
-    assert rank == mac.n_cols - len(want)
+    rank = mac.n_cols - len(want)
     assert rank == ref_rank(dense.tolist(), inst.field.q)
+    for lift in (False, True):  # Mac_b assembled; every degree from 2 to b lifted
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modeling, "_lifts", lambda p, d: lift and d > 1)
+            rows, cols, got, basis = macaulay_kernel(inst, b, basis=True)
+            assert (rows, cols, got) == (mac.n_rows, mac.n_cols, rank)
+            assert basis.shape == (len(want), mac.n_cols) and basis.dtype == np.int64
+            assert basis.tolist() == [v.tolist() for v in want]
+            assert macaulay_kernel(inst, b) == (rows, cols, rank, None)

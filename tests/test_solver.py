@@ -343,7 +343,8 @@ def _solve_grid():
     """(instance, b, keywords) covering every extraction method, both kinds
     of `none` (an empty kernel, and an incomplete sweep whose scan does not
     fit `brute_cap`), b = 1 and 2, `fix_pluecker`, and every matrix-cap
-    refusal: Mac_1 at b = 1; Mac_2's nominal cells and then G's at b = 2."""
+    refusal: Mac_1 at b = 1; Mac_2's nominal cells, and G's where the
+    lift is picked, at b = 2."""
     F2, F3 = PrimeField(2), PrimeField(3)
     for f in (F2, F3, F7):
         for seed in range(3):
@@ -373,16 +374,24 @@ def _solve_grid():
     for T in ((0, 1), (1, 3)):
         yield planted, 2, {"fix_pluecker": T}
     yield gen_planted(F7, 4, 4, 3, 2, seed=0)[0], 1, {"fix_pluecker": (2, 3)}
-    # d1 = 9: Mac_2 is 12 x 30 = 360 cells nominally, G 18 x 36 = 648.
+    # d1 = 9: Mac_2 is 12 x 30 = 360 cells, G would be 18 x 36 = 648, so
+    # Mac_2 is assembled and the cap applies to it alone.
     tiny = gen_random(FBIG, 1, 3, 4, seed=0, r=1)
-    for cap in (359, 360, 647, 648):
+    for cap in (359, 360):
         yield tiny, 2, {"matrix_cap": cap}
     yield tiny, 1, {"matrix_cap": 35}
+    # Generic d1 = 10 picks the lift, but d1 = 18 here: Mac_2 is 24 x 36 =
+    # 864 cells nominally, G 18 x 54 = 972.
+    flat = MinRankInstance(F7, 2, 4, 3, 2, (np.zeros((2, 4), dtype=np.int64),) * 3)
+    for cap in (864, 972):
+        yield flat, 2, {"matrix_cap": cap}
 
 
 # sha256 over the solutions and SolveDiagnostics (or refusal message) of
-# every `_solve_grid` case, frozen before the solver was split into stages.
-SOLVE_GRID_DIGEST = "8cfd1c28d96842832146a232db52b5eaf478f158ebd82d9f69d36c8120499fe5"
+# every `_solve_grid` case, frozen before the solver was split into stages;
+# refrozen when b = 2 kernels began to pick lift or assembly by cell count,
+# which moved only the cap cases above (every other case's output is as before).
+SOLVE_GRID_DIGEST = "0b9c193d5e2baf4e67862acaf592a1e55b7c4735875a81608de3f7569645fd63"
 
 
 def test_solve_grid_golden_digest():
@@ -401,5 +410,5 @@ def test_solve_grid_golden_digest():
         ("combo-enumeration", True, False), ("brute-fallback", True, False),
         ("none", True, True), ("none", False, False),
     }
-    assert refusals == 4
+    assert refusals == 3
     assert h.hexdigest() == SOLVE_GRID_DIGEST
