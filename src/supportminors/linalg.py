@@ -1,7 +1,8 @@
 """Exact dense linear algebra over GF(q).
 
 Matrices are 2-D numpy int64 arrays with entries reduced to [0, q).  One
-blocked elimination kernel serves ``rref`` and ``rank``: a scalar
+blocked elimination kernel serves ``rref``, ``rank`` and ``kernel_basis``
+(some kernel basis from one forward elimination of the transpose): a scalar
 first-nonzero loop finds the pivots of IB columns at a time and records
 their row operations, float64 matrix products apply them to the rest of
 their NB-column panel and each panel to the rest of the matrix, exact
@@ -224,7 +225,9 @@ def _blocked(field: PrimeField, W: np.ndarray, w: int, reduced: bool, follow, wi
     the last nonzero tracking column: the rows below gain E @ (pivot rows);
     with `reduced`, the pivot rows become X = A11^-1 @ (themselves), A11
     being their pivot-column block, and the rows above lose (their
-    pivot-column entries) @ X.
+    pivot-column entries) @ X.  After a panel with fewer pivots than
+    columns, the elimination ends once the rows left are zero in the
+    columns left.
     """
     q = field.q
     h, N = W.shape
@@ -262,6 +265,8 @@ def _blocked(field: PrimeField, W: np.ndarray, w: int, reduced: bool, follow, wi
                 _addmul_mod(above[:, c0:end], above[:, pivots[-k:]], _reduce(q - X, q), q)
                 piv_rows[:, c0:end] = X
         pr += k
+        if k < wp and not W[pr:, c1:w].any():
+            break  # the rows left are zero in the columns left: no pivot remains
     return pivots
 
 
@@ -301,6 +306,26 @@ def right_kernel_basis(field: PrimeField, M) -> np.ndarray:
     K[np.arange(len(free)), free] = 1
     K[:, pivots] = -R[: len(pivots), free].T % field.q
     return K
+
+
+def kernel_basis(field: PrimeField, M) -> tuple[int, np.ndarray]:
+    """(rank, some basis of {v : M v = 0}) from one forward elimination, the
+    basis a (dim ker, cols) int64 array with no canonical form.
+
+    Forward elimination of W = [M^T | 0] records E in the extra columns and
+    the row permutation in `perm`.  Row i >= rank of the eliminated M^T is
+    zero, so e_perm[i] + sum_t E[i, t] e_perm[t] lies in ker M.
+    """
+    MT = as_matrix(field, M, np.float64).T
+    h, w = MT.shape
+    W = np.zeros((h, w + min(h, w)))
+    W[:, :w] = MT
+    perm = np.arange(h)
+    rk = len(_blocked(field, W, w, False, (perm,), (NB, IB)))
+    Z = np.zeros((h - rk, h), dtype=np.int64)
+    Z[np.arange(h - rk), perm[rk:]] = 1
+    Z[:, perm[:rk]] = W[rk:, w : w + rk]
+    return rk, Z
 
 
 def mat_mul(field: PrimeField, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ from . import estimator
 from .combinatorics import drop_ranks, monomial_mul, monomial_rank, monomials_colex, subsets_colex
 from .instance import MinRankInstance
 from .linalg import (
-    SparseMatrix, check_cell_cap, mat_mul, rank as matrix_rank, right_kernel_basis, rref,
+    SparseMatrix, check_cell_cap, kernel_basis, mat_mul, rank as matrix_rank, right_kernel_basis,
+    rref,
 )
 
 MATRIX_CELL_CAP = 50_000_000
@@ -53,6 +54,17 @@ class BilinearSystem:
         return len(self.coef)
 
 
+@functools.cache
+def _equation_tables(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (C(n, r+1), r+1) tables: the colex (r+1)-subsets J of
+    range(n), and the colex rank of each J \\ {j_t}."""
+    tables = (np.array(list(subsets_colex(n, r + 1)), dtype=np.int64).reshape(-1, r + 1),
+              drop_ranks(n, r + 1))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def build_equations(inst: MinRankInstance) -> BilinearSystem:
     """The bilinear system of the instance.  Rejects r = n (no (r+1)-column
     subsets)."""
@@ -60,14 +72,12 @@ def build_equations(inst: MinRankInstance) -> BilinearSystem:
     if r >= n:
         raise ValueError(f"r={r} must be below n={n}: no (r+1)-column subsets exist")
     q = inst.field.q
-    Js = list(subsets_colex(n, r + 1))
-    plk = drop_ranks(n, r + 1)
+    Js, plk = _equation_tables(n, r)
     sign = np.where(np.arange(r + 1) % 2, q - 1, 1)
     # (K, m, |Js|, r+1) gather, moved to (m, |Js|, r+1, K); products < 2^62.
-    coef = np.moveaxis(inst.stack[:, :, np.array(Js)], 0, -1) * sign[:, None] % q
+    coef = np.moveaxis(inst.stack[:, :, Js], 0, -1) * sign[:, None] % q
     coef = coef.reshape(m * len(Js), r + 1, inst.K)
     coef.setflags(write=False)
-    plk.setflags(write=False)
     return BilinearSystem(coef, plk, m, n, r)
 
 
@@ -93,36 +103,55 @@ class MacaulayMatrix:
         return self.data.cols
 
 
+@functools.cache
+def _macaulay_order(m: int, n: int, r: int, K: int, b: int) -> tuple[np.ndarray, ...]:
+    """Read-only CSR order of Mac_b's entries at this shape: every (e, t, ell)
+    of `coef`, sorted by (e, ell, Plucker rank), as its flat index into
+    `coef`, its equation e, and its column for each degree-(b-1) row
+    monomial mu (one row of the last table per mu)."""
+    plk = _equation_tables(n, r)[1]
+    eq_of, t, ell = (a.ravel() for a in np.indices((m * len(plk), r + 1, K)))
+    plk_of = plk[eq_of % len(plk), t]
+    flat = np.lexsort((plk_of, ell, eq_of))
+    shift = np.array([[monomial_rank(monomial_mul(mu, v)) for v in range(K)]
+                      for mu in monomials_colex(K, b - 1)], dtype=np.int64)
+    tables = (flat, eq_of[flat], shift[:, ell[flat]] * comb(n, r) + plk_of[flat])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def macaulay(inst: MinRankInstance, b: int, cap: int = MATRIX_CELL_CAP) -> MacaulayMatrix:
     """Assemble the degree-b Macaulay matrix of the bilinear system.
 
     Row mu * eq(i, J) is row eq(i, J) of the b = 1 matrix with the column
     block of each x_ell moved to that of mu * x_ell.  The b = 1 rows are
     sorted by (ell, Plucker rank), and colex(mu * x_ell) strictly increases
-    with ell, so the moved rows stay sorted.
+    with ell, so the moved rows stay sorted: each call gathers `coef` in
+    the order `_macaulay_order` fixes for the shape and drops its zeros.
     """
     K, n, r = inst.K, inst.n, inst.r
     rows, cols = estimator.macaulay_dims(estimator.ParameterSet(inst.m, n, K, r), b)
     check_cell_cap(rows, cols, cap)
     eqs = build_equations(inst)
-    row_monos = list(monomials_colex(K, b - 1))
-    eq_of, t, ell = np.nonzero(eqs.coef)
-    vals, plk = eqs.coef[eq_of, t, ell], eqs.plk[eq_of % len(eqs.plk), t]
-    order = np.lexsort((plk, ell, eq_of))
-    shift = np.array([[monomial_rank(monomial_mul(mu, v)) for v in range(K)] for mu in row_monos])
-    row_nnz = np.tile(np.bincount(eq_of, minlength=len(eqs)), len(row_monos))
+    flat, eq_of, at = _macaulay_order(inst.m, n, r, K, b)
+    vals = eqs.coef.ravel()[flat]
+    nz = vals != 0
+    vals = vals[nz]
+    row_nnz = np.tile(np.bincount(eq_of[nz], minlength=len(eqs)), len(at))
     indptr = np.concatenate(([0], np.cumsum(row_nnz)))
-    indices = (shift[:, ell[order]] * comb(n, r) + plk[order]).ravel()
-    data = SparseMatrix(rows, cols, indptr, indices, np.tile(vals[order], len(row_monos)))
+    data = SparseMatrix(rows, cols, indptr, at[:, nz].ravel(), np.tile(vals, len(at)))
     return MacaulayMatrix(b, K, eqs, data)
 
 
-def _lifts(p: estimator.ParameterSet, b: int) -> bool:
-    """Whether `macaulay_kernel` lifts Mac_b from b-1: where G_b, at the generic
-    d_{b-1} = cols_{b-1} - eqs(p, b-1), has fewer cells than Mac_b."""
+def _lifts(p: estimator.ParameterSet, b: int, d: int | None = None) -> bool:
+    """Whether `macaulay_kernel` lifts Mac_b from b-1: where G_b, at
+    d = dim ker Mac_{b-1} (by default the generic cols_{b-1} - eqs(p, b-1)),
+    has fewer cells than Mac_b."""
     if b < 2:
         return False
-    d = estimator.macaulay_dims(p, b - 1)[1] - estimator.eqs(p, b - 1)[0]
+    if d is None:
+        d = estimator.macaulay_dims(p, b - 1)[1] - estimator.eqs(p, b - 1)[0]
     rows, cols = estimator.macaulay_dims(p, b)
     return comb(p.K, 2) * comb(p.K + b - 3, b - 2) * comb(p.n, p.r) * p.K * d < rows * cols
 
@@ -144,44 +173,59 @@ def macaulay_kernel(
 ) -> tuple[int, int, int, np.ndarray | None]:
     """(rows, cols, rank, kernel basis or None) of the degree-b Macaulay
     matrix; the basis is a (dim ker, cols) int64 array, bit-identical to
-    `right_kernel_basis` of the assembled matrix.  The cap applies first to
-    Mac_b's nominal cells; Mac_b is then assembled and eliminated (forward
-    only without `basis`), unless `_lifts` picks the lift from b-1.
+    `right_kernel_basis` of the assembled matrix.  The cap applies to
+    Mac_b's nominal cells.  Mac_b is assembled and eliminated (forward only
+    without `basis`), unless `_lifts` picks the lift from b-1, priced at
+    the generic d_{b-1} and again at the observed one; so G_b, built only
+    where it has fewer cells than Mac_b, fits every cap that Mac_b fits.
 
     Row (x_a omega, e) of Mac_b is row (omega, e) of Mac_{b-1} with x_ell
     moved to x_a omega x_ell, so u is in ker Mac_b exactly when every slice
     V_a[nu, T] = u(x_a nu, T) lies in ker Mac_{b-1} and V_a[x_c omega] =
-    V_c[x_a omega] for a < c.  With B a basis of ker Mac_{b-1} (dimension d)
-    and V_a = sum_i Y[a, i] B_i, that is G_b y = 0 for G_b (capped too)
-    holding +B_i[x_c omega, T] at column (a, i) and -B_i[x_a omega, T] at
-    (c, i) in row (a < c, omega, T); u(mu, T) = V_a[mu / x_a, T], a the
-    smallest variable of mu.  On the free columns of Mac_b, the pivots of a
-    right-to-left elimination of any kernel basis, `right_kernel_basis` is
-    the identity: so it is the RREF of the column-reversed lift, reversed back.
+    V_c[x_a omega] for a < c.  With B any basis of ker Mac_{b-1} (dimension
+    d) and V_a = sum_i Y[a, i] B_i, that is G_b y = 0 for G_b holding
+    +B_i[x_c omega, T] at column (a, i) and -B_i[x_a omega, T] at (c, i) in
+    row (a < c, omega, T); u(mu, T) = V_a[mu / x_a, T], a the smallest
+    variable of mu.  A change of B multiplies G_b's columns by I_K (x) T, so
+    levels below the top give some basis from one forward elimination
+    (`kernel_basis`, or a lift left unreduced).  On the free columns of
+    Mac_b, the pivots of a right-to-left elimination of any kernel basis,
+    `right_kernel_basis` is the identity: so the top level's basis is the
+    RREF of the column-reversed lift, reversed back.
     """
+    return _kernel(inst, b, cap, "canonical" if basis else "rank")
+
+
+def _kernel(inst: MinRankInstance, b: int, cap: int, want: str):
+    """`macaulay_kernel` for a request `want`: "rank" (no basis), "any"
+    (some basis) or "canonical" (the basis of `right_kernel_basis`)."""
     f, K, p = inst.field, inst.K, estimator.ParameterSet(inst.m, inst.n, inst.K, inst.r)
     rows, cols = estimator.macaulay_dims(p, b)
     check_cell_cap(rows, cols, cap)
-    if not _lifts(p, b):
-        mac = macaulay(inst, b, cap=cap)
-        if not basis:
-            return rows, cols, matrix_rank(f, mac.data), None
-        Z = right_kernel_basis(f, mac.data.to_dense())
+    B = _kernel(inst, b - 1, cap, "any")[3] if _lifts(p, b) else None
+    if B is None or not _lifts(p, b, len(B)):
+        M = macaulay(inst, b, cap=cap).data
+        if want == "rank":
+            return rows, cols, matrix_rank(f, M), None
+        if want == "any":
+            return rows, cols, *kernel_basis(f, M.to_dense())
+        Z = right_kernel_basis(f, M.to_dense())
         return rows, cols, cols - len(Z), Z
-    B = macaulay_kernel(inst, b - 1, cap, basis=True)[3]
     a, c, at_c, at_a, lead, rest = _lift_indices(K, b)
     (d, cols_below), P = B.shape, comb(inst.n, inst.r)
     V = B.reshape(d, cols_below // P, P)
-    check_cell_cap(len(a) * P, K * d, cap)
     G = np.zeros((len(a), P, K, d), dtype=np.int64)
     G[np.arange(len(a)), :, a, :] = V[:, at_c, :].transpose(1, 2, 0)
     G[np.arange(len(a)), :, c, :] = (f.q - V[:, at_a, :]).transpose(1, 2, 0) % f.q
     G = G.reshape(len(a) * P, K * d)
-    if not basis:
+    if want == "rank":
         return rows, cols, cols - K * d + matrix_rank(f, G), None
     Y = right_kernel_basis(f, G)
     W = mat_mul(f, Y.reshape(len(Y) * K, d), B).reshape(len(Y), K, *V.shape[1:])  # V_a per Y row
-    R = rref(f, W[:, lead, rest].reshape(len(Y), cols)[:, ::-1])[1]
+    W = W[:, lead, rest].reshape(len(Y), cols)
+    if want == "any":
+        return rows, cols, cols - len(Y), W
+    R = rref(f, W[:, ::-1])[1]
     return rows, cols, cols - len(Y), np.ascontiguousarray(R[::-1, ::-1])
 
 

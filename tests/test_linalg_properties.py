@@ -7,7 +7,10 @@ spread at random, and a panel or a sub-panel may hold no pivot, or a
 panel all its pivots in its last sub-panel.  Matrices are built with
 Python's `random`, so no package code shapes the inputs; Macaulay matrices
 of small instances add the sparse, structured row swaps of the solver.
-The mod-q reduction is checked against Python's % on edge values.
+Tall rank-deficient and wide big-kernel shapes reach the blocked
+elimination's early exit, in `rref` and in the transposed forward pass of
+`kernel_basis`, whose basis is checked to span the oracle's kernel.  The
+mod-q reduction is checked against Python's % on edge values.
 """
 
 import random
@@ -27,6 +30,7 @@ from supportminors.linalg import (
     NB,
     _addmul_mod,
     _reduce,
+    kernel_basis,
     mat_mul,
     rank,
     right_kernel_basis,
@@ -46,6 +50,8 @@ Q_REDUCE = QS + (5, 13, 107, Q_LAZY)
 WIDTHS = (0, 1, 2, 7, IB - 1, IB, IB + 1, NB - 1, NB, NB + 1, 2 * NB + 1)
 SHAPES = [(m, n) for m in (0, 1, 3, 12, 40) for n in WIDTHS]
 SHAPES += [(NB + 1, n) for n in (1, 7, IB, IB + 1, NB - 1, NB, NB + 1)]
+SHAPES += [(4 * NB + 1, n) for n in (0, 1, 8, IB + 1)]  # tall
+SHAPES += [(m, 4 * NB + 1) for m in (0, 1, 7)]  # wide
 RANKS = ("zero", "full", "full-1", "n-1", "random")
 LAYOUTS = ("any", "empty panel", "empty sub-panel", "last sub-panel")
 
@@ -109,6 +115,15 @@ def check_against_oracle(q, m, n, M):
             v[p] = -ref_R[i][f] % q
         expected.append(v)
     assert [v.tolist() for v in right_kernel_basis(F, A)] == expected
+
+    # Some basis Z of the same kernel: M Z^T = 0, full row rank, and the
+    # RREF of the column-reversed Z, reversed back, is the canonical basis.
+    rk, Z = kernel_basis(F, A)
+    assert rk == ref_rk and Z.dtype == np.int64 and Z.shape == (n - rk, n)
+    assert not ((np.array(M, dtype=object).reshape(m, n) @ Z.T.astype(object)) % q).any()
+    z_rk, z_R, _ = ref_rref(Z[:, ::-1].tolist(), q)
+    assert z_rk == n - rk
+    assert [row[::-1] for row in z_R[::-1]] == expected
 
 
 @settings(max_examples=150, deadline=None)

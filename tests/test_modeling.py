@@ -12,6 +12,7 @@ from supportminors.field import PrimeField
 from supportminors.instance import MinRankInstance, evaluate_pencil, gen_planted, gen_random
 from supportminors.linalg import rank
 from supportminors.modeling import build_equations, macaulay, rank_check
+from supportminors.solver import solve_linearization
 
 from oracle import (
     Poly, colex_monomials, colex_subsets, eq_index, eq_label, evaluation_vector, extend_to_rank,
@@ -208,6 +209,24 @@ def test_matrix_cap_prices_assembled_mac2():
     assert (rep.rows, rep.cols, rep.observed_rank, rep.match) == (60, 630, 59, True)
     with pytest.raises(CapExceededError, match="60 x 630 = 37800 cells exceeds cap 37799"):
         rank_check(inst, 2, cap=37_799)
+
+
+def test_no_rref_below_the_top_degree(monkeypatch):
+    # Below the top degree some kernel basis is enough, from one forward
+    # elimination; only G's kernel and the top level's basis are reduced.
+    calls = []
+    for name in ("rref", "right_kernel_basis"):
+        def counted(f, M, _name=name, _call=getattr(modeling, name)):
+            calls.append((_name, np.shape(M)))
+            return _call(f, M)
+        monkeypatch.setattr(modeling, name, counted)
+    sols, diag = solve_linearization(gen_planted(FBIG, 6, 6, 8, 2, 1)[0], 2)
+    assert diag.complete and len(sols) == 1
+    assert calls == [("right_kernel_basis", (420, 8)), ("rref", (1, 540))]
+    calls.clear()
+    for q in (2, 3, 7, 32003, 2**31 - 1):
+        rank_check(gen_random(PrimeField(q), 5, 6, 6, 1, r=2), 2)
+    assert calls == []
 
 
 def test_evaluation_vector_in_kernel():

@@ -104,7 +104,7 @@ def test_macaulay_kernel_matches_direct_elimination(b, inst):
     assert rank == ref_rank(dense.tolist(), inst.field.q)
     for lift in (False, True):  # Mac_b assembled; every degree from 2 to b lifted
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(modeling, "_lifts", lambda p, d: lift and d > 1)
+            mp.setattr(modeling, "_lifts", lambda p, b, d=None: lift and b > 1)
             rows, cols, got, basis = macaulay_kernel(inst, b, basis=True)
             assert (rows, cols, got) == (mac.n_rows, mac.n_cols, rank)
             assert basis.shape == (len(want), mac.n_cols) and basis.dtype == np.int64

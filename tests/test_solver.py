@@ -343,8 +343,8 @@ def _solve_grid():
     """(instance, b, keywords) covering every extraction method, both kinds
     of `none` (an empty kernel, and an incomplete sweep whose scan does not
     fit `brute_cap`), b = 1 and 2, `fix_pluecker`, and every matrix-cap
-    refusal: Mac_1 at b = 1; Mac_2's nominal cells, and G's where the
-    lift is picked, at b = 2."""
+    refusal: Mac_1 at b = 1; Mac_2's nominal cells at b = 2, assembled by
+    the generic rule or after a larger observed d1 re-prices the lift."""
     F2, F3 = PrimeField(2), PrimeField(3)
     for f in (F2, F3, F7):
         for seed in range(3):
@@ -380,18 +380,21 @@ def _solve_grid():
     for cap in (359, 360):
         yield tiny, 2, {"matrix_cap": cap}
     yield tiny, 1, {"matrix_cap": 35}
-    # Generic d1 = 10 picks the lift, but d1 = 18 here: Mac_2 is 24 x 36 =
-    # 864 cells nominally, G 18 x 54 = 972.
+    # Generic d1 = 10 picks the lift, but d1 = 18 here: G would be 18 x 54 =
+    # 972 cells, Mac_2 is 24 x 36 = 864, so Mac_2 is assembled and the cap
+    # applies to it alone.
     flat = MinRankInstance(F7, 2, 4, 3, 2, (np.zeros((2, 4), dtype=np.int64),) * 3)
-    for cap in (864, 972):
+    for cap in (863, 864):
         yield flat, 2, {"matrix_cap": cap}
 
 
 # sha256 over the solutions and SolveDiagnostics (or refusal message) of
 # every `_solve_grid` case, frozen before the solver was split into stages;
 # refrozen when b = 2 kernels began to pick lift or assembly by cell count,
-# which moved only the cap cases above (every other case's output is as before).
-SOLVE_GRID_DIGEST = "0b9c193d5e2baf4e67862acaf592a1e55b7c4735875a81608de3f7569645fd63"
+# which moved only the cap cases above (every other case's output is as before),
+# and again when the lift was re-priced at the observed d1, which moved only
+# the zero-pencil cap cases.
+SOLVE_GRID_DIGEST = "08b0fa414fedffa47cca00f6af40b72705d4717c75cb2a1f88131851209cb5e9"
 
 
 def test_solve_grid_golden_digest():
